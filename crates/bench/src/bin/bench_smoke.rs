@@ -715,7 +715,7 @@ fn main() {
     );
     assert!(!hits.is_empty(), "instrumented query is a jittered member");
     let mut search_profile = sys.obs().report();
-    search_profile.attach_funnel(pstats.filter.funnel());
+    search_profile.attach_funnel(pstats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER));
     println!("\n{}", search_profile.render_table());
 
     // Machine-readable output through the schema'd exporter.

@@ -62,7 +62,7 @@ fn main() {
     assert_eq!(nn.len(), 2, "kNN must return k results");
 
     let mut report = sys.obs().report();
-    report.attach_funnel(stats.filter.funnel());
+    report.attach_funnel(stats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER));
     report.attach_critpath();
 
     // Self-check: the documented span hierarchy and a consistent funnel.

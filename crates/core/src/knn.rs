@@ -10,9 +10,10 @@
 //! dense regions converge in one or two probes and empty regions expand
 //! geometrically instead of scanning.
 
-use crate::search::{search_batch_with_scratch, search_with_scratch, SearchOptions, SearchScratch};
+use crate::search::{run_batch, SearchOptions, SearchScratch};
 use crate::system::DitaSystem;
 use dita_distance::DistanceFunction;
+use dita_obs::names;
 use dita_trajectory::{Point, TrajectoryId};
 
 /// Statistics of one kNN search.
@@ -44,6 +45,9 @@ pub fn knn_search(
 /// reallocating them per radius probe, and a caller issuing many kNN
 /// queries (the kNN join, benchmark loops) can share one scratch across
 /// all of them. Results are identical.
+///
+/// A batch of one under the `knn` operation span; each radius probe's
+/// `search` span nests under it.
 pub fn knn_search_with_scratch(
     system: &DitaSystem,
     q: &[Point],
@@ -51,54 +55,45 @@ pub fn knn_search_with_scratch(
     func: &DistanceFunction,
     scratch: &mut SearchScratch,
 ) -> (Vec<(TrajectoryId, f64)>, KnnStats) {
-    assert!(!q.is_empty(), "queries must contain at least one point");
-    // Each radius probe's `search` span nests under this one.
-    let _knn_span = dita_obs::span!(system.obs(), dita_obs::names::SPAN_KNN, func = func, k = k);
-    let mut stats = KnnStats {
-        rounds: 0,
-        final_radius: 0.0,
-        candidates: 0,
-    };
-    if k == 0 || system.is_empty() {
-        return (Vec::new(), stats);
-    }
-    let k = k.min(system.len());
-
-    let mut radius = seed_radius(system, q, func);
-    loop {
-        stats.rounds += 1;
-        stats.final_radius = radius;
-        let (hits, s) =
-            search_with_scratch(system, q, radius, func, SearchOptions::default(), scratch);
-        stats.candidates += s.candidates;
-        if hits.len() >= k {
-            let mut hits = hits;
-            hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            hits.truncate(k);
-            return (hits, stats);
-        }
-        radius = if radius > 0.0 { radius * 2.0 } else { 1e-6 };
-        // Safety valve: beyond any plausible geographic scale, scan all.
-        if radius > 1e6 {
-            let (hits, s) = search_with_scratch(
-                system,
-                q,
-                f64::INFINITY,
-                func,
-                SearchOptions::default(),
-                scratch,
-            );
-            stats.rounds += 1;
-            stats.candidates += s.candidates;
-            let mut hits = hits;
-            hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            hits.truncate(k);
-            return (hits, stats);
-        }
-    }
+    let _span = dita_obs::span!(system.obs(), names::SPAN_KNN, func = func, k = k);
+    knn_rounds(system, &[q], k, func, scratch, names::SPAN_SEARCH)
+        .pop()
+        .expect("one answer per query")
 }
 
-/// Per-query expansion state for [`knn_batch`].
+/// Batched kNN: answers one kNN search per query, sharing radius probes.
+///
+/// Each round, every query still tightening its bound joins a single
+/// search job (see [`crate::search_batch`]). Queries keep fully
+/// independent radius schedules (seed, doubling, safety valve), so the
+/// per-query results *and* [`KnnStats`] are what [`knn_search`] returns
+/// for each query alone — a query finishing early simply drops out of
+/// later rounds.
+pub fn knn_batch(
+    system: &DitaSystem,
+    queries: &[&[Point]],
+    k: usize,
+    func: &DistanceFunction,
+) -> Vec<(Vec<(TrajectoryId, f64)>, KnnStats)> {
+    let _span = dita_obs::span!(
+        system.obs(),
+        names::SPAN_KNN_BATCH,
+        func = func,
+        k = k,
+        queries = queries.len()
+    );
+    let mut scratch = SearchScratch::new();
+    knn_rounds(
+        system,
+        queries,
+        k,
+        func,
+        &mut scratch,
+        names::SPAN_SEARCH_BATCH,
+    )
+}
+
+/// Per-query expansion state of [`knn_rounds`].
 struct KnnState {
     radius: f64,
     /// The next probe is the full-scan safety valve.
@@ -108,35 +103,22 @@ struct KnnState {
     stats: KnnStats,
 }
 
-/// Batched kNN: answers one kNN search per query, sharing radius probes.
-///
-/// Each round, every query still tightening its bound joins a single
-/// [`crate::search_batch`] probe, so the round's trie traversal and
-/// verification are shared across the whole batch. Queries keep fully
-/// independent radius schedules (seed, doubling, safety valve), so the
-/// per-query results *and* [`KnnStats`] are byte-identical to running
-/// [`knn_search`] on each query alone — a query finishing early simply
-/// drops out of later rounds.
-pub fn knn_batch(
+/// The one kNN implementation: rounds of threshold search over the queries
+/// still short of `k` answers, each round one search job under a
+/// `round_span` span, radii doubling per query until it has them.
+fn knn_rounds(
     system: &DitaSystem,
     queries: &[&[Point]],
     k: usize,
     func: &DistanceFunction,
+    scratch: &mut SearchScratch,
+    round_span: &'static str,
 ) -> Vec<(Vec<(TrajectoryId, f64)>, KnnStats)> {
-    let obs = system.obs();
-    let _span = dita_obs::span!(
-        obs,
-        dita_obs::names::SPAN_KNN_BATCH,
-        func = func,
-        k = k,
-        queries = queries.len()
-    );
     for q in queries {
         assert!(!q.is_empty(), "queries must contain at least one point");
     }
     let empty = k == 0 || system.is_empty();
     let k = k.min(system.len());
-    let mut scratch = SearchScratch::new();
     let mut states: Vec<KnnState> = queries
         .iter()
         .map(|q| KnnState {
@@ -174,7 +156,7 @@ pub fn knn_batch(
                 s.stats.rounds += 1;
                 if s.infinity {
                     // The safety valve counts as a round but does not move
-                    // `final_radius`, exactly like the sequential path.
+                    // `final_radius`.
                     f64::INFINITY
                 } else {
                     s.stats.final_radius = s.radius;
@@ -182,14 +164,10 @@ pub fn knn_batch(
                 }
             })
             .collect();
-        let (mut hits, bstats) = search_batch_with_scratch(
-            system,
-            &qs,
-            &taus,
-            func,
-            SearchOptions::default(),
-            &mut scratch,
-        );
+        let (mut hits, bstats) = {
+            let _round = dita_obs::span!(system.obs(), round_span, queries = qs.len(), func = func);
+            run_batch(system, &qs, &taus, func, SearchOptions::default(), scratch)
+        };
         for (slot, &i) in active.iter().enumerate() {
             let s = &mut states[i];
             s.stats.candidates += bstats.queries[slot].candidates;
@@ -202,6 +180,8 @@ pub fn knn_batch(
                 s.done = true;
             } else {
                 s.radius = if s.radius > 0.0 { s.radius * 2.0 } else { 1e-6 };
+                // Safety valve: beyond any plausible geographic scale,
+                // scan all.
                 if s.radius > 1e6 {
                     s.infinity = true;
                 }

@@ -1,19 +1,25 @@
 //! Distributed trajectory similarity search (§5).
 //!
 //! Three steps, matching §5.1.1: the driver consults the global index for
-//! relevant partitions and ships the query to their workers; each worker
+//! relevant partitions and ships the queries to their workers; each worker
 //! filters with its trie index and verifies the candidates on the spot (the
 //! clustered layout means no second lookup); the driver collects results.
+//!
+//! There is one implementation, the batched job: [`search`] is a batch of
+//! one. What a batch shares is the job — one task per worker for all of its
+//! queries — not the work inside it: every query is probed and verified on
+//! its own, exactly as it would be alone.
 
 use crate::system::DitaSystem;
-use crate::verify::{try_verify_candidates, verify_candidates, CandidateView, QueryContext};
-use dita_cluster::{JobStats, TaskError, TaskSpec};
+use crate::verify::{try_verify_candidates, verify_candidates, QueryContext};
+use dita_cluster::{JobStats, TaskSpec};
 use dita_distance::DistanceFunction;
-use dita_index::{BatchProbeScratch, FilterStats, ProbeScratch};
+use dita_index::{FilterStats, ProbeScratch};
 use dita_obs::names;
 use dita_obs::sync::locks;
 use dita_obs::OrderedMutex;
 use dita_trajectory::{Point, TrajectoryId};
+use std::collections::BTreeMap;
 
 /// Statistics of one search execution.
 #[derive(Debug, Clone)]
@@ -39,7 +45,7 @@ pub struct SearchStats {
 /// Tuning knobs for [`search_with_options`].
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
-    /// Rayon threads each worker task uses to verify its candidate list;
+    /// Rayon threads each worker task uses to verify a candidate list;
     /// 1 (the default) verifies serially on the worker thread. The pool's
     /// CPU time is charged back to the task either way, so the simulated
     /// cost model is unaffected — only wall-clock changes.
@@ -55,23 +61,21 @@ impl Default for SearchOptions {
 /// Reusable allocations for repeated searches.
 ///
 /// Worker tasks run concurrently and each needs its own probe stack, so the
-/// probe scratches live in small mutex-guarded pools: a task pops one on
+/// probe scratches live in a small mutex-guarded pool: a task pops one on
 /// entry and returns it on exit, and by the second call every pool hit is
 /// allocation-free. The kernel scratch is driver-only (delta tail checks).
 /// [`knn_search`](crate::knn_search) holds one of these across its
 /// bound-tightening rounds, and the batch drivers across whole batches.
 pub struct SearchScratch {
     probes: OrderedMutex<Vec<ProbeScratch>>,
-    batches: OrderedMutex<Vec<BatchProbeScratch>>,
     kernel: dita_distance::kernel::Scratch,
 }
 
 impl SearchScratch {
-    /// Creates an empty scratch; the pools fill lazily as tasks run.
+    /// Creates an empty scratch; the pool fills lazily as tasks run.
     pub fn new() -> Self {
         SearchScratch {
             probes: OrderedMutex::new(&locks::SEARCH_SCRATCH_PROBE, Vec::new()),
-            batches: OrderedMutex::new(&locks::SEARCH_SCRATCH_BATCH, Vec::new()),
             kernel: dita_distance::kernel::Scratch::default(),
         }
     }
@@ -82,14 +86,6 @@ impl SearchScratch {
 
     fn put_probe(&self, s: ProbeScratch) {
         self.probes.lock().push(s);
-    }
-
-    fn take_batch(&self) -> BatchProbeScratch {
-        self.batches.lock().pop().unwrap_or_default()
-    }
-
-    fn put_batch(&self, s: BatchProbeScratch) {
-        self.batches.lock().push(s);
     }
 }
 
@@ -164,6 +160,8 @@ pub fn search_with_options(
 /// [`search_with_options`] with caller-held scratch: repeated calls (kNN
 /// bound tightening, benchmark loops) reuse probe stacks and kernel buffers
 /// instead of reallocating them per query. Results are identical.
+///
+/// A batch of one under the `search` operation span.
 pub fn search_with_scratch(
     system: &DitaSystem,
     q: &[Point],
@@ -172,136 +170,18 @@ pub fn search_with_scratch(
     options: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<(TrajectoryId, f64)>, SearchStats) {
-    assert!(!q.is_empty(), "queries must contain at least one point");
-
-    // Top-level operation span: the executor captures the driver's current
-    // span before spawning workers, so worker/task spans nest under it.
-    let obs = system.obs();
-    let _search_span = dita_obs::span!(obs, names::SPAN_SEARCH, func = func, tau = tau);
-
-    // Step 1 (driver): global pruning.
-    let relevant = system.global().relevant_partitions(
-        &q[0],
-        &q[q.len() - 1],
-        q.len(),
-        tau,
-        func.index_mode(),
-    );
-
-    // Step 2 (workers): filter + verify.
-    //
-    // Broadcast accounting: the query is shipped once per *worker* with
-    // relevant partitions — not once per partition — because each worker
-    // receives exactly one task (one message) covering all of its
-    // partitions. Each shipment is priced as a full trajectory record via
-    // `query_broadcast_bytes`, the same formula join uses for shipped
-    // trajectories, so the two operators charge the network identically.
-    let q_ctx = QueryContext::new(q, system.config().trie.cell_side);
-    let q_bytes = query_broadcast_bytes(q);
-    let mut by_worker: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for &pid in &relevant {
-        by_worker
-            .entry(system.worker_of(pid))
-            .or_default()
-            .push(pid);
-    }
-    let tasks: Vec<TaskSpec<Vec<usize>>> = by_worker
-        .into_iter()
-        .map(|(worker, pids)| TaskSpec {
-            worker,
-            incoming_bytes: q_bytes,
-            // A search task scans several partitions; per-partition
-            // attribution happens on its filter/verify child spans instead.
-            partition: None,
-            payload: pids,
-        })
-        .collect();
-
-    let q_ctx = &q_ctx;
-    let verify_threads = options.verify_threads;
-    let scratch_ref: &SearchScratch = scratch;
-    let (per_worker, job) = system.cluster().execute_try(tasks, move |_w, pids| {
-        let mut candidates = 0usize;
-        let mut funnel = FilterStats::default();
-        let mut hits: Vec<(TrajectoryId, f64)> = Vec::new();
-        let obs = system.obs();
-        let mut probe = scratch_ref.take_probe();
-        for pid in pids {
-            let trie = system.trie(pid);
-            // The executor opens a `task` span on this thread before calling
-            // us, so `filter` and `verify` nest search → worker → task → …
-            let cands = {
-                let _fspan = dita_obs::span!(obs, names::SPAN_FILTER, pid = pid);
-                let (cands, fs) =
-                    trie.candidates_with_scratch(q_ctx.points(), tau, func, &mut probe);
-                funnel.merge(&fs);
-                cands
-            };
-            candidates += cands.len();
-            let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = pid);
-            hits.extend(try_verify_candidates(
-                trie,
-                &cands,
-                q_ctx,
-                tau,
-                func,
-                verify_threads,
-            )?);
-        }
-        scratch_ref.put_probe(probe);
-        Ok((candidates, funnel, hits))
-    });
-
-    // Step 3 (driver): collect.
-    let mut candidates = 0;
-    let mut filter = FilterStats::default();
-    let mut results: Vec<(TrajectoryId, f64)> = Vec::new();
-    for (c, fs, hits) in per_worker {
-        candidates += c;
-        filter.merge(&fs);
-        results.extend(hits);
-    }
-
-    let (delta_candidates, delta_filter, tail_checked, tail_hits) = overlay_deltas(
-        system,
-        q,
-        q_ctx,
-        tau,
-        func,
-        verify_threads,
-        &mut results,
-        scratch,
-    );
-    results.sort_by_key(|&(id, _)| id);
-    let deltas = system.deltas();
-
-    if obs.is_enabled() {
-        filter.funnel().record(obs);
-        obs.counter(names::SEARCH_QUERIES_TOTAL).inc();
-        obs.counter(names::SEARCH_CANDIDATES_TOTAL)
-            .add(candidates as u64);
-        obs.counter(names::SEARCH_RESULTS_TOTAL)
-            .add(results.len() as u64);
-        if deltas.has_deltas() {
-            let mut funnel = delta_funnel(&delta_filter);
-            funnel.push_stage(
-                names::STAGE_TAIL_EXACT,
-                tail_checked,
-                tail_checked - tail_hits,
-            );
-            funnel.record(obs);
-        }
-    }
-
+    let _span = dita_obs::span!(system.obs(), names::SPAN_SEARCH, func = func, tau = tau);
+    let (mut results, mut stats) = run_batch(system, &[q], &[tau], func, options, scratch);
+    let results = results.pop().expect("one result list per query");
+    let query = stats.queries.pop().expect("one stats entry per query");
     let stats = SearchStats {
-        relevant_partitions: relevant.len(),
-        candidates,
-        results: results.len(),
-        filter,
-        delta_candidates,
-        delta_filter,
-        job,
+        relevant_partitions: query.relevant_partitions,
+        candidates: query.candidates,
+        results: query.results,
+        filter: query.filter,
+        delta_candidates: query.delta_candidates,
+        delta_filter: query.delta_filter,
+        job: stats.job,
     };
     (results, stats)
 }
@@ -379,21 +259,15 @@ fn overlay_deltas(
 }
 
 /// Finds, for every query `queries[i]`, all trajectories within `taus[i]`
-/// — answering the whole batch with one shared pass instead of a per-query
-/// loop.
+/// — answering the whole batch with one cluster job instead of one per
+/// query.
 ///
-/// Three batching levers, each preserving byte-identical results:
-///
-/// * **One task per worker per batch.** Every query's relevant partitions
-///   are computed up front; a worker receives a single task carrying every
-///   query that reaches it, priced at one broadcast per distinct query —
-///   the batch charges the network exactly what the per-query loop would.
-/// * **Shared trie traversal.** Each partition's arena is walked once for
-///   all of its queries via [`TrieIndex::candidates_batch`], per-query
-///   funnels intact.
-/// * **Partition-major verification.** The per-query candidate lists are
-///   inverted so each stored trajectory is decoded once and checked
-///   against every query that reached it through the SoA kernels.
+/// **One task per worker per batch.** Every query's relevant partitions are
+/// computed up front; a worker receives a single task carrying every query
+/// that reaches it, priced at one broadcast per distinct query — the batch
+/// charges the network exactly what the per-query loop would, and pays the
+/// executor's spawn/join once. Inside the task each query is probed and
+/// verified on its own, partition by partition.
 ///
 /// Returns per-query result vectors (each sorted by id, exactly what
 /// [`search`] returns for that query alone) plus per-query statistics.
@@ -417,194 +291,151 @@ pub fn search_batch_with_scratch(
     options: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<Vec<(TrajectoryId, f64)>>, BatchSearchStats) {
+    let _span = dita_obs::span!(
+        system.obs(),
+        names::SPAN_SEARCH_BATCH,
+        queries = queries.len(),
+        func = func
+    );
+    run_batch(system, queries, taus, func, options, scratch)
+}
+
+/// The one search implementation. The caller has opened the operation
+/// span: the executor captures the driver's current span before spawning
+/// workers, so worker/task spans nest under it.
+pub(crate) fn run_batch(
+    system: &DitaSystem,
+    queries: &[&[Point]],
+    taus: &[f64],
+    func: &DistanceFunction,
+    options: SearchOptions,
+    scratch: &mut SearchScratch,
+) -> (Vec<Vec<(TrajectoryId, f64)>>, BatchSearchStats) {
     assert_eq!(queries.len(), taus.len(), "one tau per query");
     for q in queries {
         assert!(!q.is_empty(), "queries must contain at least one point");
     }
-    let nq = queries.len();
     let obs = system.obs();
-    let _batch_span = dita_obs::span!(obs, names::SPAN_SEARCH_BATCH, queries = nq, func = func);
 
-    // Step 1 (driver): global pruning per query, grouped worker-major.
+    // Step 1 (driver): global pruning per query, grouped by worker into
+    // `(partition, query index)` pairs plus the worker's broadcast charge.
+    //
+    // Broadcast accounting: a query is shipped once per *worker* it
+    // reaches — not once per partition — because the worker receives one
+    // task (one message) covering all of its partitions. Each shipment is
+    // priced as a full trajectory record via `query_broadcast_bytes`, the
+    // same formula join uses for shipped trajectories, so the two operators
+    // charge the network identically, and a batch is charged exactly what
+    // the per-query loop would be.
     let ctxs: Vec<QueryContext> = queries
         .iter()
         .map(|q| QueryContext::new(q, system.config().trie.cell_side))
         .collect();
-    let mut relevant_counts = vec![0usize; nq];
-    let mut by_worker: std::collections::BTreeMap<
-        usize,
-        std::collections::BTreeMap<usize, Vec<u32>>,
-    > = std::collections::BTreeMap::new();
+    let mut stats: Vec<QueryStats> = Vec::with_capacity(queries.len());
+    let mut by_worker: BTreeMap<usize, (u64, Vec<(usize, u32)>)> = BTreeMap::new();
     for (qi, q) in queries.iter().enumerate() {
+        let qi = qi as u32;
         let relevant = system.global().relevant_partitions(
             &q[0],
             &q[q.len() - 1],
             q.len(),
-            taus[qi],
+            taus[qi as usize],
             func.index_mode(),
         );
-        relevant_counts[qi] = relevant.len();
-        for pid in relevant {
-            by_worker
-                .entry(system.worker_of(pid))
-                .or_default()
-                .entry(pid)
-                .or_default()
-                .push(qi as u32);
-        }
-    }
-
-    // Step 2 (workers): one task per worker. Broadcast accounting: the task
-    // is charged one `query_broadcast_bytes` shipment per *distinct* query
-    // reaching that worker — summed over the batch this equals exactly what
-    // the sequential per-query loop charges, and a query never pays twice
-    // for two partitions on the same worker.
-    // One task payload: this worker's `(partition, query indexes)` list.
-    type BatchPayload = Vec<(usize, Vec<u32>)>;
-    let tasks: Vec<TaskSpec<BatchPayload>> = by_worker
-        .into_iter()
-        .map(|(worker, pids)| {
-            let mut qset: Vec<u32> = pids.values().flatten().copied().collect();
-            qset.sort_unstable();
-            qset.dedup();
-            let incoming_bytes = qset
-                .iter()
-                .map(|&qi| query_broadcast_bytes(queries[qi as usize]))
-                .sum();
-            TaskSpec {
-                worker,
-                incoming_bytes,
-                partition: None,
-                payload: pids.into_iter().collect(),
-            }
-        })
-        .collect();
-
-    let ctxs_ref = &ctxs;
-    let scratch_ref: &SearchScratch = scratch;
-    type WorkerOut = Vec<(u32, usize, FilterStats, Vec<(TrajectoryId, f64)>)>;
-    let (per_worker, job) = system.cluster().execute_try(tasks, move |_w, pids| {
-        let obs = system.obs();
-        let mut probe = scratch_ref.take_batch();
-        let mut kernel = dita_distance::kernel::Scratch::new();
-        let mut out: WorkerOut = Vec::new();
-        let mut slot: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-        for (pid, qidxs) in pids {
-            let trie = system.trie(pid);
-            let batch = {
-                let _fspan = dita_obs::span!(obs, names::SPAN_FILTER, pid = pid);
-                let qs: Vec<&[Point]> = qidxs
-                    .iter()
-                    .map(|&qi| ctxs_ref[qi as usize].points())
-                    .collect();
-                let ts: Vec<f64> = qidxs.iter().map(|&qi| taus[qi as usize]).collect();
-                trie.candidates_batch(&qs, &ts, func, &mut probe)
-            };
-            let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = pid);
-            // Partition-major verify: invert the per-query candidate lists
-            // so each trajectory is decoded once for every query that
-            // reached it. Ids are validated first, mirroring
-            // `try_verify_candidates`.
-            let mut by_cand: std::collections::BTreeMap<u32, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (local, (ids, _)) in batch.iter().enumerate() {
-                for &c in ids {
-                    if trie.try_get(c).is_none() {
-                        return Err(TaskError::new(format!(
-                            "candidate id {c} out of range for a trie of {} entries",
-                            trie.len()
-                        )));
-                    }
-                    by_cand.entry(c).or_default().push(local);
-                }
-            }
-            let mut hits: Vec<Vec<(TrajectoryId, f64)>> = vec![Vec::new(); qidxs.len()];
-            for (&c, locals) in &by_cand {
-                let view = CandidateView::from(trie.get(c));
-                for &local in locals {
-                    let qi = qidxs[local] as usize;
-                    if let Some(d) = crate::verify::verify_pair_soa(
-                        view,
-                        &ctxs_ref[qi],
-                        taus[qi],
-                        func,
-                        &mut kernel,
-                    ) {
-                        hits[local].push((view.id, d));
-                    }
-                }
-            }
-            for (local, (ids, fs)) in batch.into_iter().enumerate() {
-                let qi = qidxs[local];
-                // Per-query child span under the batch task, so critical-
-                // path attribution can split the task's wall time by query.
-                let _qspan = dita_obs::span!(obs, names::SPAN_BATCH_QUERY, query = qi, pid = pid);
-                let h = std::mem::take(&mut hits[local]);
-                match slot.get(&qi) {
-                    Some(&s) => {
-                        out[s].1 += ids.len();
-                        out[s].2.merge(&fs);
-                        out[s].3.extend(h);
-                    }
-                    None => {
-                        slot.insert(qi, out.len());
-                        out.push((qi, ids.len(), fs, h));
-                    }
-                }
-            }
-        }
-        scratch_ref.put_batch(probe);
-        Ok(out)
-    });
-
-    // Step 3 (driver): collect per query, then run each query's delta
-    // overlay + sort + obs accounting exactly as the sequential path would.
-    let mut results: Vec<Vec<(TrajectoryId, f64)>> = vec![Vec::new(); nq];
-    let mut stats: Vec<QueryStats> = relevant_counts
-        .iter()
-        .map(|&r| QueryStats {
-            relevant_partitions: r,
+        stats.push(QueryStats {
+            relevant_partitions: relevant.len(),
             candidates: 0,
             results: 0,
             filter: FilterStats::default(),
             delta_candidates: 0,
             delta_filter: FilterStats::default(),
-        })
-        .collect();
-    for worker_out in per_worker {
-        for (qi, cands, fs, hits) in worker_out {
-            let qi = qi as usize;
-            stats[qi].candidates += cands;
-            stats[qi].filter.merge(&fs);
-            results[qi].extend(hits);
+        });
+        for pid in relevant {
+            let (bytes, pairs) = by_worker.entry(system.worker_of(pid)).or_default();
+            // A query's pairs are pushed together, so a different last
+            // query means this is its first partition on the worker.
+            if pairs.last().map(|&(_, last)| last) != Some(qi) {
+                *bytes += query_broadcast_bytes(q);
+            }
+            pairs.push((pid, qi));
         }
     }
+
+    // Step 2 (workers): filter + verify, one task per worker.
+    let tasks: Vec<TaskSpec<Vec<(usize, u32)>>> = by_worker
+        .into_iter()
+        .map(|(worker, (incoming_bytes, mut pairs))| {
+            // Partition-major: a partition's arena is brought into cache
+            // once for all of the batch's queries that reach it.
+            pairs.sort_by_key(|&(pid, _)| pid);
+            TaskSpec {
+                worker,
+                incoming_bytes,
+                // A search task scans several partitions; per-partition
+                // attribution happens on its filter/verify child spans.
+                partition: None,
+                payload: pairs,
+            }
+        })
+        .collect();
+
+    let ctxs_ref = &ctxs;
+    let verify_threads = options.verify_threads;
+    let scratch_ref: &SearchScratch = scratch;
+    let (per_worker, job) = system.cluster().execute_try(tasks, move |_w, pairs| {
+        let mut probe = scratch_ref.take_probe();
+        let mut out = Vec::with_capacity(pairs.len());
+        for (pid, qi) in pairs {
+            let trie = system.trie(pid);
+            let (q_ctx, tau) = (&ctxs_ref[qi as usize], taus[qi as usize]);
+            // The executor opens a `task` span on this thread before calling
+            // us, so `filter` and `verify` nest op → worker → task → …
+            let (cands, fs) = {
+                let _fspan = dita_obs::span!(obs, names::SPAN_FILTER, pid = pid, query = qi);
+                trie.candidates_with_scratch(q_ctx.points(), tau, func, &mut probe)
+            };
+            let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = pid, query = qi);
+            let hits = try_verify_candidates(trie, &cands, q_ctx, tau, func, verify_threads)?;
+            out.push((qi, cands.len(), fs, hits));
+        }
+        scratch_ref.put_probe(probe);
+        Ok(out)
+    });
+
+    // Step 3 (driver): collect per query, then each query's delta overlay,
+    // sort and obs accounting.
+    let mut results: Vec<Vec<(TrajectoryId, f64)>> = vec![Vec::new(); queries.len()];
+    for (qi, candidates, fs, hits) in per_worker.into_iter().flatten() {
+        let qi = qi as usize;
+        stats[qi].candidates += candidates;
+        stats[qi].filter.merge(&fs);
+        results[qi].extend(hits);
+    }
     let deltas = system.deltas();
-    for qi in 0..nq {
-        let _qspan = dita_obs::span!(obs, names::SPAN_BATCH_QUERY, query = qi);
+    for (qi, (hits, st)) in results.iter_mut().zip(&mut stats).enumerate() {
         let (dc, df, tail_checked, tail_hits) = overlay_deltas(
             system,
             queries[qi],
             &ctxs[qi],
             taus[qi],
             func,
-            options.verify_threads,
-            &mut results[qi],
+            verify_threads,
+            hits,
             scratch,
         );
-        results[qi].sort_by_key(|&(id, _)| id);
-        stats[qi].delta_candidates = dc;
-        stats[qi].delta_filter = df;
-        stats[qi].results = results[qi].len();
+        hits.sort_by_key(|&(id, _)| id);
+        st.delta_candidates = dc;
+        st.delta_filter = df;
+        st.results = hits.len();
         if obs.is_enabled() {
-            stats[qi].filter.funnel().record(obs);
+            st.filter.funnel(names::FUNNEL_TRIE_FILTER).record(obs);
             obs.counter(names::SEARCH_QUERIES_TOTAL).inc();
             obs.counter(names::SEARCH_CANDIDATES_TOTAL)
-                .add(stats[qi].candidates as u64);
+                .add(st.candidates as u64);
             obs.counter(names::SEARCH_RESULTS_TOTAL)
-                .add(results[qi].len() as u64);
+                .add(hits.len() as u64);
             if deltas.has_deltas() {
-                let mut funnel = delta_funnel(&stats[qi].delta_filter);
+                let mut funnel = st.delta_filter.funnel(names::FUNNEL_DELTA_FILTER);
                 funnel.push_stage(
                     names::STAGE_TAIL_EXACT,
                     tail_checked,
@@ -622,34 +453,6 @@ pub fn search_batch_with_scratch(
             job,
         },
     )
-}
-
-/// The delta-side mirror of [`FilterStats::funnel`]: identical stage math,
-/// recorded under its own name so the base and delta funnels stay
-/// distinguishable in the registry.
-fn delta_funnel(fs: &FilterStats) -> dita_obs::Funnel {
-    let mut f = dita_obs::Funnel::new(names::FUNNEL_DELTA_FILTER);
-    f.push_stage(
-        names::STAGE_NODE_LENGTH,
-        fs.nodes_visited as u64,
-        fs.nodes_pruned_length as u64,
-    );
-    f.push_stage(
-        names::STAGE_NODE_BUDGET,
-        (fs.nodes_visited - fs.nodes_pruned_length) as u64,
-        fs.nodes_pruned_budget as u64,
-    );
-    f.push_stage(
-        names::STAGE_LEAF_LENGTH,
-        fs.members_checked as u64,
-        fs.members_pruned_length as u64,
-    );
-    f.push_stage(
-        names::STAGE_LEAF_OPAMD,
-        (fs.members_checked - fs.members_pruned_length) as u64,
-        fs.members_pruned_opamd as u64,
-    );
-    f
 }
 
 #[cfg(test)]

@@ -4,6 +4,10 @@
 //! charges — across every distance function, mixed taus, and a table
 //! carrying unmerged delta state (post-insert/delete overlay).
 //!
+//! `search` is itself a batch of one, so batch-of-N ≡ N batches-of-one pins
+//! that queries sharing a job do not disturb each other; what pins the
+//! answers themselves is a brute-force scan of the live table.
+//!
 //! Deterministic seeded xorshift streams stand in for proptest, matching
 //! the ingest-equivalence harness.
 
@@ -95,8 +99,22 @@ fn query_batch(seed: u64, n: usize) -> (Vec<Trajectory>, Vec<f64>) {
     (qs, taus)
 }
 
-/// Asserts that a batch answers exactly like the per-query loop on `sys`:
-/// results, per-query funnels, and total network charge.
+/// Ids of every live trajectory within `tau` of `q`, by linear scan with
+/// the reference distance — no index, no kernels, no executor.
+fn brute_force_ids(sys: &DitaSystem, q: &[Point], tau: f64, func: &DistanceFunction) -> Vec<u64> {
+    let mut ids = Vec::new();
+    sys.for_each_live(|t| {
+        if func.distance(t.points(), q) <= tau {
+            ids.push(t.id);
+        }
+    });
+    ids.sort_unstable();
+    ids
+}
+
+/// Asserts that a batch answers exactly like the per-query loop on `sys`
+/// (results, per-query funnels, total network charge) and that both agree
+/// with the brute-force oracle on which trajectories answer each query.
 fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usize) {
     let (qs, taus) = query_batch(seed, batch_size);
     let q_slices: Vec<&[Point]> = qs.iter().map(|t| t.points()).collect();
@@ -107,6 +125,13 @@ fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usiz
         assert_eq!(bstats.queries.len(), batch_size);
         let mut sequential_bytes = 0u64;
         for (qi, q) in q_slices.iter().enumerate() {
+            let got: Vec<u64> = batched[qi].iter().map(|&(id, _)| id).collect();
+            assert_eq!(
+                got,
+                brute_force_ids(sys, q, taus[qi], &func),
+                "oracle disagrees: seed={seed} func={func} q={qi} tau={}",
+                taus[qi]
+            );
             let (solo, sstats) = search(sys, q, taus[qi], &func);
             assert_eq!(
                 batched[qi], solo,
@@ -251,7 +276,7 @@ fn knn_batch_matches_sequential_with_delta_overlay() {
 #[test]
 fn degenerate_batches_behave() {
     let sys = build(23, 40);
-    // Empty batch.
+    // Empty batch: no answers, no tasks, nothing shipped.
     let (results, stats) = search_batch(
         &sys,
         &[],
@@ -261,6 +286,10 @@ fn degenerate_batches_behave() {
     );
     assert!(results.is_empty());
     assert!(stats.queries.is_empty());
+    assert_eq!(stats.job.workers.iter().map(|w| w.tasks).sum::<usize>(), 0);
+    assert!(knn_batch(&sys, &[], 3, &DistanceFunction::Dtw).is_empty());
+    // Batch of one: the shape `search` and `knn_search` are built on.
+    assert_batch_matches_sequential(&sys, 23, 1);
     // k = 0 answers every query with nothing and zero rounds.
     let (qs, _) = query_batch(23, 3);
     let q_slices: Vec<&[Point]> = qs.iter().map(|t| t.points()).collect();

@@ -102,7 +102,7 @@ fn filter_funnel_is_consistent_with_search_stats() {
         SearchOptions { verify_threads: 1 },
     );
 
-    let funnel = stats.filter.funnel();
+    let funnel = stats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER);
     assert_eq!(funnel.name, "trie-filter");
     let names: Vec<&str> = funnel.stages.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(

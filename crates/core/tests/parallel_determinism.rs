@@ -5,7 +5,7 @@
 //! repeated.
 
 use dita_cluster::{Cluster, ClusterConfig};
-use dita_core::{search_with_options, DitaConfig, DitaSystem, SearchOptions};
+use dita_core::{search_batch, search_with_options, DitaConfig, DitaSystem, SearchOptions};
 use dita_distance::DistanceFunction;
 use dita_index::{PivotStrategy, TrieConfig};
 use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
@@ -125,5 +125,38 @@ fn results_identical_across_workers_threads_and_repeats() {
                 }
             }
         }
+    }
+}
+
+/// `SearchOptions::verify_threads` reaches the base partitions of a batched
+/// search too, and changes nothing but wall-clock: every query of a batch
+/// gets bit-equal answers at 1, 2 and 4 verify threads.
+#[test]
+fn batch_results_identical_across_verify_threads() {
+    let ts = random_trajectories(120, 0x5eed_2026);
+    let sys = build_system(&ts, 4);
+    let queries: Vec<&[Point]> = [3usize, 47, 101, 47]
+        .iter()
+        .map(|&i| ts[i].points())
+        .collect();
+    let taus = [2.5, 3.0, 4.0, 2.5];
+    let func = DistanceFunction::Dtw;
+    let run = |verify_threads| {
+        search_batch(
+            &sys,
+            &queries,
+            &taus,
+            &func,
+            SearchOptions { verify_threads },
+        )
+        .0
+    };
+    let baseline = run(1);
+    assert!(
+        baseline.iter().all(|hits| !hits.is_empty()),
+        "a query found nothing — test is vacuous"
+    );
+    for verify_threads in [2usize, 4] {
+        assert_eq!(run(verify_threads), baseline, "threads={verify_threads}");
     }
 }

@@ -216,14 +216,15 @@ impl FilterStats {
         self.members_pruned_opamd += other.members_pruned_opamd;
     }
 
-    /// The counters as an ordered `dita-obs` pruning funnel named
-    /// `trie-filter`. Each stage's `entered` is the previous stage's
-    /// survivor count (node stages count nodes, leaf stages count
-    /// members); the final stage's survivors equal
+    /// The counters as an ordered `dita-obs` pruning funnel named `name`
+    /// (`trie-filter` for base tries, `delta-filter` for delta segments, so
+    /// the two stay distinguishable in the registry). Each stage's
+    /// `entered` is the previous stage's survivor count (node stages count
+    /// nodes, leaf stages count members); the final stage's survivors equal
     /// [`FilterStats::candidates`].
-    pub fn funnel(&self) -> dita_obs::Funnel {
+    pub fn funnel(&self, name: &'static str) -> dita_obs::Funnel {
         use dita_obs::names;
-        let mut f = dita_obs::Funnel::new(names::FUNNEL_TRIE_FILTER);
+        let mut f = dita_obs::Funnel::new(name);
         f.push_stage(
             names::STAGE_NODE_LENGTH,
             self.nodes_visited as u64,
@@ -265,29 +266,10 @@ impl ProbeScratch {
     }
 }
 
-/// Reusable traversal state for [`TrieIndex::candidates_batch`]: the DFS
-/// frame stack plus the stacked per-frame active-query lists. One scratch
-/// serves a whole batch (and, held across calls, a whole query stream)
-/// without reallocating once grown to working size.
-#[derive(Debug, Default)]
-pub struct BatchProbeScratch {
-    /// DFS frames: `(node_id, start)` where `start` indexes the first of
-    /// this frame's active-query states in `states`.
-    frames: Vec<(u32, u32)>,
-    /// Active-query states of every live frame, stacked in push order:
-    /// `(query index, remaining budget, ordered-suffix anchor)`. The
-    /// topmost frame's states are always the suffix `states[start..]`.
-    states: Vec<(u32, f64, u32)>,
-    /// The popped frame's states, copied out before `states` is truncated.
-    cur: Vec<(u32, f64, u32)>,
-}
-
-impl BatchProbeScratch {
-    /// An empty scratch; the first batches grow it to working size.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// The scratch [`TrieIndex::candidates_batch`] takes. The batch is a loop
+/// of single-query probes, so this is the single-query scratch; the name
+/// survives for the benchmark's per-layer run, which imports it.
+pub type BatchProbeScratch = ProbeScratch;
 
 /// Budget semantics of one probe, resolved once per probe from the
 /// [`DistanceFunction`] so the per-node and per-member matches carry no
@@ -374,14 +356,11 @@ pub(crate) fn visit_node(
     }
 }
 
-/// The node-level admission predicate behind [`visit_node`] and the
-/// batched probe: the EDR length-interval prune, the per-level MinDist
-/// (with the Lemma 5.1 ordered-suffix scan on pivot levels) and the
-/// per-walk budget update. Returns the `(budget, suffix)` to carry into
-/// the subtree, or `None` when the node is pruned for this query.
-///
-/// Single-query and batched walks both route through here, so a batch of
-/// one query makes byte-identical decisions to a plain probe.
+/// The node-level admission predicate behind [`visit_node`]: the EDR
+/// length-interval prune, the per-level MinDist (with the Lemma 5.1
+/// ordered-suffix scan on pivot levels) and the per-walk budget update.
+/// Returns the `(budget, suffix)` to carry into the subtree, or `None`
+/// when the node is pruned for this query.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn node_admits(
     mbr: &Mbr,
@@ -972,23 +951,11 @@ impl TrieIndex {
         count
     }
 
-    /// Batched filter (Algorithm 2, amortized): one walk of the flat arena
-    /// answers a whole batch of queries. Each DFS frame carries the list of
-    /// queries still active at that node; the list shrinks as the
-    /// node-level prunes (EDR length interval, MinDist budget) reject
-    /// queries per node, and a subtree is descended only while at least one
-    /// query survives — so each [`FlatNodes`] record and each member's SoA
-    /// block is touched once for all queries that reach it instead of once
-    /// per query.
-    ///
-    /// Returns one `(candidate ids, filter funnel)` pair per query, each
-    /// byte-identical to what [`TrieIndex::candidates_with_stats`] returns
-    /// for that query alone: both paths route node decisions through
-    /// [`node_admits`] and member decisions through [`member_admits`] with
-    /// identical budgets, so pruning never diverges. Queries with an empty
-    /// point list or a negative `tau` yield empty results, matching the
-    /// single-query probe. Scan-mode functions (ERP) emit every stored id
-    /// per query with no descent, as in the single-query path.
+    /// [`TrieIndex::candidates_with_scratch`] for each `(queries[i],
+    /// taus[i])` in turn, on one scratch: one `(candidate ids, filter
+    /// funnel)` pair per query. There is no shared walk: on the 200k-row
+    /// benchmark table one saved at most 7 % of the filter layer and
+    /// nothing end to end (EXPERIMENTS.md, "Throughput").
     pub fn candidates_batch(
         &self,
         queries: &[&[Point]],
@@ -997,117 +964,11 @@ impl TrieIndex {
         scratch: &mut BatchProbeScratch,
     ) -> Vec<(Vec<u32>, FilterStats)> {
         assert_eq!(queries.len(), taus.len(), "one tau per query");
-        let mut out: Vec<(Vec<u32>, FilterStats)> = queries
+        queries
             .iter()
-            .map(|_| (Vec::new(), FilterStats::default()))
-            .collect();
-        let Some(walk) = Walk::of(func) else {
-            // Scan mode: every stored trajectory, for every live query.
-            for (qi, q) in queries.iter().enumerate() {
-                if q.is_empty() || taus[qi] < 0.0 {
-                    continue;
-                }
-                out[qi].0.extend(0..self.store.len() as u32);
-            }
-            return out;
-        };
-        let edr = walk.is_edr();
-        scratch.frames.clear();
-        scratch.states.clear();
-        for &r in &self.roots {
-            let rec = self.nodes.rec(r);
-            let start = scratch.states.len() as u32;
-            for (qi, q) in queries.iter().enumerate() {
-                if q.is_empty() || taus[qi] < 0.0 {
-                    continue;
-                }
-                let tau = taus[qi];
-                if let Some((b, s)) = node_admits(
-                    &rec.mbr,
-                    rec.depth,
-                    rec.min_len,
-                    rec.max_len,
-                    q,
-                    tau,
-                    tau,
-                    0,
-                    &walk,
-                    &mut out[qi].1,
-                ) {
-                    scratch.states.push((qi as u32, b, s as u32));
-                }
-            }
-            if scratch.states.len() as u32 > start {
-                scratch.frames.push((r, start));
-            }
-        }
-        while let Some((node_id, start)) = scratch.frames.pop() {
-            // The popped frame is the most recently pushed, so its states
-            // are exactly the stack suffix `[start..]`; truncating restores
-            // the parent frames' ranges untouched.
-            let start = start as usize;
-            scratch.cur.clear();
-            scratch.cur.extend_from_slice(&scratch.states[start..]);
-            scratch.states.truncate(start);
-            let rec = *self.nodes.rec(node_id);
-            for &m in self.nodes.members(&rec) {
-                let e = self.store.entry(m as usize);
-                for &(qi, _, _) in &scratch.cur {
-                    let qi = qi as usize;
-                    let q = queries[qi];
-                    let tau = taus[qi];
-                    let (ids, stats) = &mut out[qi];
-                    stats.members_checked += 1;
-                    if edr && dita_distance::bounds::length_bound_edr(e.len(), q.len(), tau) {
-                        stats.members_pruned_length += 1;
-                        continue;
-                    }
-                    let admits = member_admits(
-                        q,
-                        tau,
-                        &walk,
-                        e.len(),
-                        e.index_points(),
-                        e.pivots().iter().map(|&p| p as usize),
-                        e.soa(),
-                    );
-                    if admits {
-                        ids.push(m);
-                    } else {
-                        stats.members_pruned_opamd += 1;
-                    }
-                }
-            }
-            for &c in self.nodes.children(&rec) {
-                let crec = self.nodes.rec(c);
-                let cstart = scratch.states.len() as u32;
-                for &(qi, budget, suffix) in &scratch.cur {
-                    let qiu = qi as usize;
-                    if let Some((b, s)) = node_admits(
-                        &crec.mbr,
-                        crec.depth,
-                        crec.min_len,
-                        crec.max_len,
-                        queries[qiu],
-                        taus[qiu],
-                        budget,
-                        suffix as usize,
-                        &walk,
-                        &mut out[qiu].1,
-                    ) {
-                        scratch.states.push((qi, b, s as u32));
-                    }
-                }
-                if scratch.states.len() as u32 > cstart {
-                    scratch.frames.push((c, cstart));
-                }
-            }
-        }
-        for (ids, _) in &mut out {
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        out
+            .zip(taus)
+            .map(|(q, &tau)| self.candidates_with_scratch(q, tau, func, scratch))
+            .collect()
     }
 
     /// The shared filter traversal behind [`TrieIndex::candidates_with_scratch`]
@@ -1512,7 +1373,7 @@ mod tests {
                     // candidates (each member lives in one node, so no
                     // dedup slack).
                     assert_eq!(stats.candidates(), cands.len(), "{f} tau={tau}");
-                    let funnel = stats.funnel();
+                    let funnel = stats.funnel(dita_obs::names::FUNNEL_TRIE_FILTER);
                     assert_eq!(funnel.survivors() as usize, cands.len());
                     assert_eq!(
                         stats.nodes_pruned(),
@@ -1570,9 +1431,10 @@ mod tests {
             m.members_pruned_opamd,
             a.members_pruned_opamd + b.members_pruned_opamd
         );
-        let mut f = a.funnel();
-        f.merge(&b.funnel());
-        assert_eq!(f, m.funnel());
+        let name = dita_obs::names::FUNNEL_TRIE_FILTER;
+        let mut f = a.funnel(name);
+        f.merge(&b.funnel(name));
+        assert_eq!(f, m.funnel(name));
     }
 
     #[test]

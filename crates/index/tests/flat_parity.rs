@@ -83,12 +83,11 @@ proptest! {
         }
     }
 
-    /// One shared arena walk answers a whole batch byte-identically to
-    /// per-query probes: candidate ids AND per-query filter funnels match
+    /// A batch answers every query exactly as the reference pointer trie
+    /// answers it alone: candidate ids AND per-query filter funnels match
     /// for every distance function, mixed taus included (negative taus
-    /// make a query inert, as in the single-query path). One scratch is
-    /// reused across every function, pinning that stale state cannot leak
-    /// between batches.
+    /// make a query inert). One scratch is reused across every function,
+    /// pinning that stale state cannot leak between batches.
     #[test]
     fn batch_probe_matches_per_query_probes(
         ts in arb_dataset(30),
@@ -108,7 +107,8 @@ proptest! {
             cell_side: 1.0,
             ..TrieConfig::default()
         };
-        let trie = TrieIndex::build(ts, config);
+        let trie = TrieIndex::build(ts.clone(), config);
+        let pointer = PointerTrie::build(ts, config);
         let qs: Vec<Trajectory> = queries
             .iter()
             .enumerate()
@@ -122,7 +122,7 @@ proptest! {
             prop_assert_eq!(batch.len(), qs.len());
             for (qi, (ids, stats)) in batch.iter().enumerate() {
                 let (solo_ids, solo_stats) =
-                    trie.candidates_with_stats(q_slices[qi], taus[qi], &f);
+                    pointer.candidates_with_stats(q_slices[qi], taus[qi], &f);
                 prop_assert_eq!(ids, &solo_ids, "{} q={} candidate sets diverge", f, qi);
                 prop_assert_eq!(stats, &solo_stats, "{} q={} filter stats diverge", f, qi);
             }

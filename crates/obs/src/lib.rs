@@ -236,17 +236,26 @@ impl Obs {
 /// Opens a labeled span on an [`Obs`] context:
 /// `span!(obs, "verify", worker = wid, pid = pid)` labels the span
 /// `"worker=<wid> pid=<pid>"`. With no key/value pairs it is equivalent to
-/// `obs.span(name)`.
+/// `obs.span(name)`. The label is built — and its value expressions
+/// evaluated — only on an enabled context, so a disabled one pays for no
+/// formatting on the query path.
 #[macro_export]
 macro_rules! span {
     ($obs:expr, $name:expr $(,)?) => {
         $obs.span($name)
     };
     ($obs:expr, $name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $obs.span_labeled(
-            $name,
-            [$(format!(concat!(stringify!($key), "={}"), $value)),+].join(" "),
-        )
+        match &$obs {
+            obs => {
+                let mut guard = obs.span($name);
+                if obs.is_enabled() {
+                    guard.set_label(
+                        [$(format!(concat!(stringify!($key), "={}"), $value)),+].join(" "),
+                    );
+                }
+                guard
+            }
+        }
     };
 }
 
@@ -285,6 +294,26 @@ mod tests {
         assert_eq!(report.profile.len(), 1);
         assert_eq!(report.profile[0].name, "op");
         assert_eq!(report.profile[0].children[0].label, "worker=7");
+    }
+
+    #[test]
+    fn disabled_context_never_evaluates_a_label() {
+        let evaluated = std::cell::Cell::new(0u32);
+        let value = || {
+            evaluated.set(evaluated.get() + 1);
+            7
+        };
+        let obs = Obs::disabled();
+        {
+            let _g = span!(obs, "inner", worker = value(), pid = value());
+        }
+        assert_eq!(evaluated.get(), 0, "disabled: label built anyway");
+        let obs = Obs::enabled();
+        {
+            let _g = span!(obs, "inner", worker = value(), pid = value());
+        }
+        assert_eq!(evaluated.get(), 2);
+        assert_eq!(obs.report().profile[0].label, "worker=7 pid=7");
     }
 
     #[test]

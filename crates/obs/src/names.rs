@@ -161,16 +161,13 @@ pub const SPAN_EXECUTE_DYNAMIC: &str = "execute_dynamic";
 pub const SPAN_LOCAL_JOIN: &str = "local-join";
 /// Driver-side kNN operation span (one `search` child per radius probe).
 pub const SPAN_KNN: &str = "knn";
-/// Driver-side batched-search operation span: one broadcast, one shared
-/// arena walk and one partition-major verify for a whole query batch.
+/// Driver-side batched-search operation span: one job — one task per
+/// worker — for a whole query batch. The `filter`/`verify` spans under its
+/// tasks are per query and carry a `query=` label.
 pub const SPAN_SEARCH_BATCH: &str = "search-batch";
 /// Driver-side batched-kNN operation span (one `search-batch` child per
 /// radius round over the still-active queries).
 pub const SPAN_KNN_BATCH: &str = "knn-batch";
-/// Per-query child span under a batch task (and under the batch driver
-/// span for overlay/finalize), so critical-path attribution still sees
-/// individual queries inside a shared batch.
-pub const SPAN_BATCH_QUERY: &str = "batch-query";
 /// One trie build per partition, inside a build task.
 pub const SPAN_INDEX_BUILD: &str = "index-build";
 /// One ingestion operation (insert/delete/flush).
@@ -263,7 +260,6 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_KNN,
     SPAN_SEARCH_BATCH,
     SPAN_KNN_BATCH,
-    SPAN_BATCH_QUERY,
     SPAN_INDEX_BUILD,
     SPAN_INGEST,
     SPAN_SEGMENT_BUILD,

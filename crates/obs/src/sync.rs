@@ -109,11 +109,6 @@ pub mod locks {
         name: "search-scratch-probe",
         rank: 60,
     };
-    /// `dita-core`'s pooled batch-probe scratches.
-    pub const SEARCH_SCRATCH_BATCH: LockDef = LockDef {
-        name: "search-scratch-batch",
-        rank: 64,
-    };
     /// The tracer's span store — innermost with the metrics registry:
     /// code everywhere records observability while holding domain locks.
     pub const OBS_TRACE: LockDef = LockDef {
@@ -138,7 +133,6 @@ pub mod locks {
         SCHEDULER_COUNTERS,
         EXECUTOR_GATE,
         SEARCH_SCRATCH_PROBE,
-        SEARCH_SCRATCH_BATCH,
         OBS_TRACE,
         OBS_REGISTRY,
     ];

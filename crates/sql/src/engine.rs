@@ -150,8 +150,8 @@ impl Engine {
     /// Consecutive statements that plan to
     /// [`PhysicalPlan::IndexSearch`] on the same table and distance
     /// function are executed through `dita-core`'s `search_batch` — one
-    /// shared trie traversal and one task per worker for the whole run —
-    /// instead of a per-statement loop. Results are identical to calling
+    /// cluster job, one task per worker, for the whole run — instead of a
+    /// job per statement. Results are identical to calling
     /// [`Engine::execute`] on each statement (pinned by test); any other
     /// statement (or an unparsable one) closes the current run and executes
     /// normally, so ordering and error positions are preserved. The first

@@ -11,6 +11,16 @@ cargo build --release
 # rank_canary_matches_build_profile test (crates/obs/tests/
 # lock_stress.rs) fails the run if that ever stops being true.
 cargo test -q
+# The benchmark is a package of its own outside the workspace, so the line
+# above does not reach it. Its contract test builds it against the measured
+# crates (every name it imports must still compile), runs every workload's
+# traced run with its correctness checks, and requires the exact work
+# counters (nodes visited, members checked, candidates, bytes shipped) to
+# repeat for a seed — so a refactor of the query path it measures is gated
+# here. The stand-in config is the one the benchmark driver builds with;
+# the committed benchmark/Cargo.lock matches it.
+cargo test --release --offline --config benchmark/offline/config.toml \
+  --manifest-path benchmark/Cargo.toml
 cargo bench --no-run
 cargo clippy --workspace --all-targets -- -D warnings
 
