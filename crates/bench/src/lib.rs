@@ -298,9 +298,12 @@ mod tests {
             "ms",
             1.0,
         );
-        s.flush();
-        let text = std::fs::read_to_string("results/unit-test-sink.json").unwrap();
-        assert!(text.contains("unit-test-sink"));
+        // Drop flushes: read only after it, and clean up before asserting,
+        // so neither a late flush nor a failure leaves a file in the tree.
+        drop(s);
+        let text = std::fs::read_to_string("results/unit-test-sink.json");
         let _ = std::fs::remove_file("results/unit-test-sink.json");
+        let _ = std::fs::remove_dir("results");
+        assert!(text.unwrap().contains("unit-test-sink"));
     }
 }

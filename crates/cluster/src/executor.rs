@@ -297,21 +297,21 @@ impl Cluster {
                         let mut stats = WorkerStats::default();
                         let mut results = Vec::with_capacity(queue.len());
                         // Idle workers record nothing: no span, no
-                        // zero-valued metric series.
-                        let _worker_span = if queue.is_empty() {
-                            dita_obs::SpanGuard::noop()
-                        } else {
+                        // zero-valued metric series. Neither does a disabled
+                        // context, so it builds none of the labels.
+                        let record = obs.is_enabled() && !queue.is_empty();
+                        let _worker_span = if record {
                             obs.span_under_labeled(
                                 parent,
                                 names::SPAN_WORKER,
                                 format!("worker={wid}"),
                             )
-                        };
-                        let wlabel = wid.to_string();
-                        let labels: &[(&str, &str)] = &[("worker", wlabel.as_str())];
-                        let (m_tasks, m_retries, m_bytes, h_net, h_cpu) = if queue.is_empty() {
-                            Default::default()
                         } else {
+                            dita_obs::SpanGuard::noop()
+                        };
+                        let (m_tasks, m_retries, m_bytes, h_net, h_cpu) = if record {
+                            let wlabel = wid.to_string();
+                            let labels: &[(&str, &str)] = &[("worker", wlabel.as_str())];
                             (
                                 obs.counter_labeled(names::TASKS_TOTAL, labels),
                                 obs.counter_labeled(names::TASK_RETRIES_TOTAL, labels),
@@ -319,6 +319,8 @@ impl Cluster {
                                 obs.histogram_seconds_labeled(names::TASK_NETWORK_SECONDS, labels),
                                 obs.histogram_seconds_labeled(names::TASK_COMPUTE_SECONDS, labels),
                             )
+                        } else {
+                            Default::default()
                         };
                         for (i, task) in queue {
                             stats.bytes_received += task.incoming_bytes;
@@ -326,11 +328,12 @@ impl Cluster {
                             stats.network += Duration::from_secs_f64(net_sec);
                             m_bytes.add(task.incoming_bytes);
                             h_net.observe(net_sec);
-                            let label = match task.partition {
-                                Some(pid) => format!("worker={wid} pid={pid}"),
-                                None => format!("worker={wid}"),
+                            let mut task_span = match task.partition {
+                                Some(pid) => {
+                                    dita_obs::span!(obs, names::SPAN_TASK, worker = wid, pid = pid)
+                                }
+                                None => dita_obs::span!(obs, names::SPAN_TASK, worker = wid),
                             };
-                            let mut task_span = obs.span_labeled(names::SPAN_TASK, label);
                             // Attribute the span for the critical-path
                             // analyzer: which lane ran it and what its
                             // shipment cost.

@@ -113,7 +113,8 @@ fn brute_force_ids(sys: &DitaSystem, q: &[Point], tau: f64, func: &DistanceFunct
 }
 
 /// Asserts that a batch answers exactly like the per-query loop on `sys`
-/// (results, per-query funnels, total network charge) and that both agree
+/// (results, per-query funnels, total network charge) in a job of the
+/// batched shape (a task per worker, not per query), and that both agree
 /// with the brute-force oracle on which trajectories answer each query.
 fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usize) {
     let (qs, taus) = query_batch(seed, batch_size);
@@ -124,6 +125,8 @@ fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usiz
         assert_eq!(batched.len(), batch_size);
         assert_eq!(bstats.queries.len(), batch_size);
         let mut sequential_bytes = 0u64;
+        let mut sequential_tasks = 0usize;
+        let mut queries_on_worker = vec![0usize; sys.cluster().num_workers()];
         for (qi, q) in q_slices.iter().enumerate() {
             let got: Vec<u64> = batched[qi].iter().map(|&(id, _)| id).collect();
             assert_eq!(
@@ -154,6 +157,10 @@ fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usiz
                 .iter()
                 .map(|w| w.bytes_received)
                 .sum::<u64>();
+            for (on_worker, w) in queries_on_worker.iter_mut().zip(&sstats.job.workers) {
+                sequential_tasks += w.tasks;
+                *on_worker += usize::from(w.tasks > 0);
+            }
         }
         // Broadcast parity: the batch job charges exactly what the
         // sequential loop charged in total — one shipment per (query,
@@ -164,6 +171,19 @@ fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usiz
             batch_bytes, sequential_bytes,
             "broadcast parity broken: seed={seed} func={func}"
         );
+        // Job shape — what batching saves: a worker runs one task for the
+        // whole batch, so never more tasks than workers or than the
+        // batches-of-one ran, and fewer as soon as two queries share a
+        // worker. (Wall-clock gain follows from this; it is not asserted.)
+        let batch_tasks: usize = bstats.job.workers.iter().map(|w| w.tasks).sum();
+        assert!(batch_tasks <= sys.cluster().num_workers());
+        assert!(batch_tasks <= sequential_tasks);
+        if queries_on_worker.iter().any(|&n| n >= 2) {
+            assert!(
+                batch_tasks < sequential_tasks,
+                "shared worker, no saved task: seed={seed} func={func}"
+            );
+        }
     }
 }
 

@@ -5,12 +5,13 @@
 //! flat re-encoding ([`crate::flat`]). It is kept — built from the *same*
 //! deterministic pending tree and probed through the *same* shared
 //! [`crate::trie::visit_node`] / [`crate::trie::member_admits`] predicates —
-//! for two purposes:
+//! as the reference the flat layout is held to:
 //!
 //! 1. **Parity gates**: the flat probe must emit byte-identical candidate
-//!    sets and [`FilterStats`] funnels (see `tests/flat_parity.rs`).
-//! 2. **Memory-density baseline**: `bench_smoke`'s memory section reports
-//!    bytes/trajectory for both encodings from the same build.
+//!    sets and [`FilterStats`] funnels, at no more than a third of this
+//!    layout's index bytes (see `tests/flat_parity.rs`).
+//! 2. **The other arm** of the criterion `trie-probe` flat-vs-pointer
+//!    bench (`crates/bench/benches/index.rs`).
 //!
 //! It is not wired into the cluster path and takes no part in worker
 //! execution.

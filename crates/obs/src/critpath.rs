@@ -226,7 +226,7 @@ impl ActivityGraph {
             let mut chosen: (f64, f64, Option<usize>) = (0.0, 0.0, None);
             for &p in &preds[i] {
                 let cand = (best[p].0, best[p].1, Some(p));
-                let better = match cand.0.total_cmp(&chosen.0) {
+                let better = match cmp_total(cand.0, chosen.0) {
                     std::cmp::Ordering::Greater => true,
                     std::cmp::Ordering::Less => false,
                     std::cmp::Ordering::Equal => match cand.1.total_cmp(&chosen.1) {
@@ -247,9 +247,7 @@ impl ActivityGraph {
         }
         let end = (0..n)
             .max_by(|&a, &b| {
-                best[a]
-                    .0
-                    .total_cmp(&best[b].0)
+                cmp_total(best[a].0, best[b].0)
                     .then(best[a].1.total_cmp(&best[b].1))
                     .then(b.cmp(&a))
             })
@@ -262,6 +260,18 @@ impl ActivityGraph {
         }
         path.reverse();
         (path, best[end].0)
+    }
+}
+
+/// Orders two path totals, taking sums that differ only by float rounding
+/// as equal: the chains into a barrier are padded to one span but add it up
+/// in different orders, and a rounding error must not outrank the work
+/// tie-break.
+fn cmp_total(a: f64, b: f64) -> std::cmp::Ordering {
+    if (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) {
+        std::cmp::Ordering::Equal
+    } else {
+        a.total_cmp(&b)
     }
 }
 

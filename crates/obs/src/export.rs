@@ -3,8 +3,8 @@
 //!
 //! [`Report`] is the single exportable snapshot shape. Its JSON form is
 //! schema-versioned (see [`crate::SCHEMA`]) and stable under
-//! [`crate::json`] round-trips, so benchmark artifacts in `results/` can
-//! be diffed and re-read across PRs.
+//! [`crate::json`] round-trips, so `results/PROFILE_SMOKE.json` can be
+//! diffed and re-read across PRs.
 
 use crate::critpath::CritPathReport;
 use crate::funnel::Funnel;

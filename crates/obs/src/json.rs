@@ -3,8 +3,8 @@
 //! [`FromJson`] conversion traits every schema'd artifact implements.
 //!
 //! The workspace deliberately carries no JSON dependency; the artifact
-//! schemas (`dita-obs/v1`, `dita-bench-smoke/v1`, `dita-obs/critpath/v1`)
-//! are small and explicit, so hand-written conversions double as schema
+//! schemas (`dita-obs/v1`, `dita-obs/critpath/v1`) are small and
+//! explicit, so hand-written conversions double as schema
 //! documentation. Numbers are stored as `f64` (like JSON itself);
 //! non-finite values serialize as `null` because JSON has no infinity
 //! literal.

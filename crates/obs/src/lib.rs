@@ -30,15 +30,12 @@
 //!   `ToJson`/`FromJson` traits; every schema in this crate serializes
 //!   through it.
 //! * [`export`] — exporters for the whole picture: human-readable table,
-//!   schema-versioned JSON (diffable against `results/BENCH_*.json`) and
+//!   schema-versioned JSON (`results/PROFILE_SMOKE.json` is one) and
 //!   Prometheus text format.
 //! * [`critpath`] — post-job critical-path analysis: assembles a
 //!   program-activity graph from spans, worker timelines and network
 //!   charges, extracts the critical path and attributes the makespan to
 //!   activity classes (`dita-obs/critpath/v1`).
-//! * [`bench_report`] — the JSON schema of the smoke-benchmark artifacts
-//!   (`results/BENCH_PR1.json` and successors) and the cross-PR
-//!   trajectory aggregate.
 //!
 //! The entry point is [`Obs`]: a cheap, clonable context that is either
 //! disabled (the default — every operation is a no-op costing one branch)
@@ -47,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_report;
 pub mod critpath;
 pub mod export;
 pub mod funnel;

@@ -23,8 +23,9 @@
 //! (NaN-cost) query is refused with `400`, and each admitted request
 //! carries a deadline (`x-dita-deadline-ms` header or the configured
 //! default) that cancels it cooperatively — as does a client
-//! disconnect. See `SERVER.md` for the protocol and `serve_smoke`
-//! (dita-bench) for the load harness.
+//! disconnect. See `SERVER.md` for the protocol; `tests/e2e.rs` is the
+//! real-socket harness and the benchmark's `serve_mixed` workload the
+//! load.
 
 pub mod http;
 pub mod server;

@@ -6,8 +6,8 @@
 //!
 //! Registers one table `taxi` (the paper's Figure 1 trajectories) and
 //! serves until the process is killed. Meant for manual poking; the
-//! benchmark harness (`serve_smoke`) embeds [`dita_server::Server`]
-//! directly instead.
+//! tests and the benchmark embed [`dita_server::Server`] directly
+//! instead.
 
 use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::DitaConfig;

@@ -1,9 +1,10 @@
 //! The service's JSON wire format.
 //!
 //! Every body the server emits is produced here, and the encoders are
-//! `pub` so the `serve_smoke` harness can apply them to *direct*
-//! library results and assert byte-identical responses — the parity
-//! check that pins "the HTTP layer adds transport, not semantics".
+//! `pub` so the real-socket tests (`tests/e2e.rs`) and the benchmark can
+//! apply them to *direct* library results and assert byte-identical
+//! responses — the parity check that pins "the HTTP layer adds
+//! transport, not semantics".
 //!
 //! Bodies are the pretty form of [`dita_obs::json::Value`] plus a
 //! trailing newline; field order is fixed by construction order, so

@@ -87,6 +87,26 @@ fn parse_response(raw: &[u8]) -> (u16, Vec<u8>) {
     (status, raw[head_end + 4..].to_vec())
 }
 
+/// Reads one `Content-Length`-framed response off a keep-alive stream.
+fn read_response(stream: &mut TcpStream) -> (u16, Vec<u8>) {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).unwrap();
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&raw).to_ascii_lowercase();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length header");
+    let head_len = raw.len();
+    raw.resize(head_len + len, 0);
+    stream.read_exact(&mut raw[head_len..]).unwrap();
+    parse_response(&raw)
+}
+
 fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Vec<u8>) {
     call(addr, "POST", path, body, &[])
 }
@@ -222,6 +242,49 @@ fn responses_are_byte_identical_to_direct_library_calls() {
     let knn = knn_batch(system, &[q.as_slice()], 3, &DistanceFunction::Dtw);
     let expect = wire::body_bytes(&wire::hits_value(&knn[0].0));
     assert_eq!(body, expect, "knn response must be byte-identical");
+
+    // /search parity under concurrency: four keep-alive clients, 32
+    // requests each, so the dispatcher batches across connections; every
+    // body is still the direct call's bytes.
+    let cases: Vec<(String, Vec<u8>)> = figure1_trajectories()
+        .iter()
+        .flat_map(|t| [1.0, 3.0].map(|tau| (t.points(), tau)))
+        .map(|(q, tau)| {
+            let points: Vec<String> = q.iter().map(|p| format!("[{},{}]", p.x, p.y)).collect();
+            let body = format!(
+                "{{\"table\": \"taxi\", \"query\": [{}], \"tau\": {tau}}}",
+                points.join(",")
+            );
+            let (results, _) = search_batch(
+                system,
+                &[q],
+                &[tau],
+                &DistanceFunction::Dtw,
+                SearchOptions::default(),
+            );
+            (body, wire::body_bytes(&wire::hits_value(&results[0])))
+        })
+        .collect();
+    thread::scope(|scope| {
+        for client in 0..4 {
+            let cases = &cases;
+            scope.spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for request in 0..32 {
+                    let (body, expect) = &cases[(client * 7 + request) % cases.len()];
+                    write!(
+                        stream,
+                        "POST /search HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+                        body.len()
+                    )
+                    .unwrap();
+                    let (status, got) = read_response(&mut stream);
+                    assert_eq!(status, 200, "client {client} request {request}");
+                    assert_eq!(&got, expect, "client {client} request {request}");
+                }
+            });
+        }
+    });
 
     // /join parity.
     let (status, body) = post(

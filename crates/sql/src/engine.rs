@@ -5,7 +5,7 @@ use crate::parser::parse;
 use crate::plan::{logical_plan, physical_plan, PhysicalPlan};
 use dita_cluster::Cluster;
 use dita_core::{
-    join, knn_search, search, search_batch, DitaConfig, DitaSystem, JoinOptions, SearchOptions,
+    join, knn_search, search_batch, DitaConfig, DitaSystem, JoinOptions, SearchOptions,
 };
 use dita_distance::DistanceFunction;
 use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
@@ -138,10 +138,7 @@ impl Engine {
 
     /// Returns the EXPLAIN string for a statement without executing it.
     pub fn explain(&self, sql: &str) -> Result<String, SqlError> {
-        let stmt = parse(sql)?;
-        let lp = logical_plan(stmt)?;
-        let pp = physical_plan(lp, |t| self.is_indexed(t));
-        Ok(pp.describe())
+        Ok(self.plan(sql)?.describe())
     }
 
     /// Parses, plans and executes several statements in order, answering
@@ -152,25 +149,27 @@ impl Engine {
     /// function are executed through `dita-core`'s `search_batch` — one
     /// cluster job, one task per worker, for the whole run — instead of a
     /// job per statement. Results are identical to calling
-    /// [`Engine::execute`] on each statement (pinned by test); any other
-    /// statement (or an unparsable one) closes the current run and executes
-    /// normally, so ordering and error positions are preserved. The first
-    /// error aborts the batch.
+    /// [`Engine::execute`] on each statement (pinned by test). Every
+    /// statement is planned once, and only after the statements before it
+    /// ran (a `CREATE INDEX` changes the plans that follow it); any other
+    /// statement (or an unparsable one) closes the current run, so ordering
+    /// and error positions are preserved. The first error aborts the batch.
     pub fn execute_batch(&mut self, stmts: &[&str]) -> Result<Vec<QueryResult>, SqlError> {
         let mut out = Vec::with_capacity(stmts.len());
+        // The look-ahead plan (or plan error) of `stmts[i]` when it closed
+        // the previous run. A run only reads, so the plan still holds.
+        let mut carried: Option<Result<PhysicalPlan, SqlError>> = None;
         let mut i = 0;
         while i < stmts.len() {
-            // A statement that is not an indexed search (or fails to plan —
-            // its error surfaces in order below) runs through the normal
-            // single-statement path.
-            let Ok(PhysicalPlan::IndexSearch {
+            let plan = carried.take().unwrap_or_else(|| self.plan(stmts[i]))?;
+            let PhysicalPlan::IndexSearch {
                 table,
                 func,
                 query,
                 tau,
-            }) = self.plan(stmts[i])
+            } = plan
             else {
-                out.push(self.execute(stmts[i])?);
+                out.push(self.run_plan(plan)?);
                 i += 1;
                 continue;
             };
@@ -190,7 +189,10 @@ impl Engine {
                         queries.push((q2, tau2));
                         j += 1;
                     }
-                    _ => break,
+                    closing => {
+                        carried = Some(closing);
+                        break;
+                    }
                 }
             }
             let entry = self.entry(&table)?;
@@ -295,26 +297,22 @@ impl Engine {
         Ok(physical_plan(lp, |t| self.is_indexed(t)))
     }
 
-    /// Parses, plans and executes one statement.
+    /// Parses, plans and executes one statement: a batch of one.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, SqlError> {
-        let stmt = parse(sql)?;
-        let lp = logical_plan(stmt)?;
-        let pp = physical_plan(lp, |t| self.is_indexed(t));
-        match pp {
+        let mut results = self.execute_batch(&[sql])?;
+        Ok(results.pop().expect("one statement, one result"))
+    }
+
+    /// Executes every plan but an indexed search, which
+    /// [`Engine::execute_batch`] answers itself, a run at a time.
+    fn run_plan(&mut self, plan: PhysicalPlan) -> Result<QueryResult, SqlError> {
+        match plan {
             PhysicalPlan::FullScan { table } => {
                 let entry = self.entry(&table)?;
                 Ok(QueryResult::Rows(entry.dataset.trajectories().to_vec()))
             }
-            PhysicalPlan::IndexSearch {
-                table,
-                func,
-                query,
-                tau,
-            } => {
-                let entry = self.entry(&table)?;
-                let system = entry.system.as_ref().expect("planner checked the index");
-                let (hits, _) = search(system, &query, tau, &func);
-                Ok(QueryResult::SearchHits(hits))
+            PhysicalPlan::IndexSearch { .. } => {
+                unreachable!("execute_batch answers indexed searches itself")
             }
             PhysicalPlan::ScanSearch {
                 table,
@@ -683,6 +681,56 @@ mod tests {
         // Errors abort the batch in statement order.
         let mut e = mk(true);
         assert!(e.execute_batch(&[stmts[0], "SELECT * FROM nope"]).is_err());
+
+        // A CREATE INDEX mid-batch changes the plan of what follows it: the
+        // same search answers by scan before it (no cluster job) and by
+        // index after it (one), with equal hits.
+        let mut e = mk(false);
+        let obs = dita_obs::Obs::enabled();
+        e.attach_obs(obs.clone());
+        let search = "SELECT * FROM taxi WHERE DTW(taxi, \
+                      TRAJECTORY((1,1),(1,2),(3,2),(4,4),(4,5),(5,5))) <= 3";
+        let script = [search, "CREATE INDEX i ON taxi USE TRIE", search];
+        let results = e.execute_batch(&script).unwrap();
+        match (&results[0], &results[2]) {
+            (QueryResult::SearchHits(scan), QueryResult::SearchHits(index)) => {
+                assert!(!scan.is_empty());
+                assert_eq!(scan, index);
+            }
+            other => panic!("{other:?}"),
+        }
+        let jobs: u64 = obs
+            .report()
+            .profile
+            .iter()
+            .filter(|n| n.name == dita_obs::names::SPAN_SEARCH_BATCH)
+            .map(|n| n.count)
+            .sum();
+        assert_eq!(jobs, 1, "the search after CREATE INDEX answers by index");
+
+        // A parse error mid-batch is the per-statement loop's error at the
+        // loop's position: the run it closes and the write before it took
+        // effect, the write after it did not.
+        let script = [
+            "INSERT INTO taxi VALUES (77, TRAJECTORY((1,1),(1,2)))",
+            stmts[0],
+            stmts[1],
+            "SELEC * FROM taxi",
+            "DELETE FROM taxi WHERE id = 77",
+        ];
+        let mut batch_engine = mk(true);
+        let batch_err = batch_engine.execute_batch(&script).unwrap_err();
+        let mut serial_engine = mk(true);
+        let (at, serial_err) = script
+            .iter()
+            .enumerate()
+            .find_map(|(i, sql)| serial_engine.execute(sql).err().map(|e| (i, e)))
+            .unwrap();
+        assert_eq!(at, 3);
+        assert_eq!(batch_err, serial_err);
+        let rows = batch_engine.dataset("taxi").unwrap().trajectories();
+        assert!(rows.iter().any(|t| t.id == 77));
+        assert_eq!(rows, serial_engine.dataset("taxi").unwrap().trajectories());
     }
 
     #[test]

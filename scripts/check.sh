@@ -39,17 +39,4 @@ cargo run -p dita-lint --release --quiet -- --workspace --deny --out results/lin
 # critical-path attribution (~100%), and refreshes the checked-in
 # artifact the critpath golden test pins.
 scripts/profile_smoke.sh results/PROFILE_SMOKE.json > /dev/null
-
-# Batched-execution throughput smoke: closed-loop sequential vs batched
-# qps (asserts >= 2x at batch 16, answers byte-identical) plus an
-# open-loop scheduler overload run (queue capped, overflow shed). The
-# artifact feeds the cross-PR series via perf_trajectory.sh.
-cargo run -p dita-bench --release --quiet --bin throughput_smoke -- \
-  --out results/BENCH_PR8.json > /dev/null
-
-# HTTP serving smoke: in-process dita-server driven over real sockets —
-# closed-loop qps/latency, open-loop overload (bounded depth, 429 shed,
-# 504 deadline cancellation), and byte-parity of every success body
-# against direct library calls. Feeds the cross-PR series too.
-scripts/serve_smoke.sh results/BENCH_PR9.json > /dev/null
 echo "check.sh: all green"
