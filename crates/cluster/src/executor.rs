@@ -7,12 +7,36 @@
 //! lives. Workers execute their queues concurrently on real OS threads;
 //! per-task compute time is measured and incoming shipments are charged to
 //! the network model.
+//!
+//! # Who owns the threads
+//!
+//! Like Spark's executors, the workers exist before any job does:
+//! [`Cluster::new`] creates one OS thread per logical worker, named
+//! `dita-worker-{wid}`, each blocked on its own FIFO. Clones of a
+//! `Cluster` share the threads; the last clone to drop closes the FIFOs
+//! and joins them, so no thread outlives the cluster. A job spawns
+//! nothing: the driver hands every *non-empty* per-worker queue to that
+//! worker's FIFO as one closure and blocks until each has reported back.
+//! Idle workers are not woken.
+//!
+//! Two consequences for callers:
+//!
+//! * **Jobs from different driver threads interleave per worker** in
+//!   hand-off order; each driver gets its own results back.
+//! * **Jobs do not nest.** A task that submits a job to the cluster it is
+//!   running on would queue work behind itself and wait for it forever,
+//!   so the executor refuses it with a panic (which the retry path turns
+//!   into a job abort carrying that message) instead of hanging.
 
 use crate::network::NetworkModel;
 use crate::stats::{JobStats, TaskCost, WorkerStats};
-use dita_obs::{names, Obs};
+use dita_obs::{names, Counter, Histogram, Obs};
+use std::any::Any;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// CPU time consumed by the calling thread. Unlike wall-clock deltas, this
@@ -152,15 +176,196 @@ pub struct TaskSpec<T> {
     pub payload: T,
 }
 
+/// One worker's share of a job, boxed for the hand-off to its thread.
+type Work = Box<dyn FnOnce() + Send + 'static>;
+
+thread_local! {
+    /// Id of the [`Pool`] this thread is a worker of; 0 on every other
+    /// thread. Lets a nested job fail loudly instead of deadlocking.
+    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The long-lived worker threads of a [`Cluster`], shared by its clones.
+struct Pool {
+    /// Process-unique and non-zero (see [`WORKER_OF`]).
+    id: usize,
+    /// One FIFO per worker. Dropping the senders is the shutdown signal:
+    /// a worker exits when its `recv` reports the channel closed.
+    fifos: Vec<mpsc::Sender<Work>>,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Spawns `num_workers` threads named `dita-worker-{wid}` — the only
+    /// thread creation in this crate.
+    fn new(num_workers: usize) -> Self {
+        // Relaxed: the id only has to be unique, it publishes nothing.
+        static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let mut pool = Pool {
+            id,
+            fifos: Vec::with_capacity(num_workers),
+            threads: Vec::with_capacity(num_workers),
+        };
+        for wid in 0..num_workers {
+            let (tx, rx) = mpsc::channel::<Work>();
+            let thread = thread::Builder::new()
+                .name(format!("dita-worker-{wid}"))
+                .spawn(move || {
+                    WORKER_OF.with(|w| w.set(id));
+                    // Every `Work` catches its own task panics, so the
+                    // loop only ends when the pool drops its senders.
+                    while let Ok(work) = rx.recv() {
+                        work();
+                    }
+                })
+                .expect("the OS refused a cluster worker thread");
+            pool.fifos.push(tx);
+            pool.threads.push(thread);
+        }
+        pool
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.fifos.clear();
+        for thread in self.threads.drain(..) {
+            // A worker cannot have panicked (see `Pool::new`), and `Drop`
+            // must not: nothing to report either way.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("id", &self.id)
+            .field("workers", &self.threads.len())
+            .finish()
+    }
+}
+
+/// The driver's view of the queues it has handed to workers: how many
+/// have not reported back yet, and the channel they report on.
+///
+/// Dropping it **blocks until none is outstanding**. That is the whole
+/// safety argument of the lifetime erasure in [`Cluster::execute_impl`]:
+/// the guard is created before the first hand-off, so neither a return
+/// nor an unwind can pop the driver's frame while a worker still borrows
+/// from it.
+struct InFlight<M> {
+    /// The driver's own sender, cloned into every handed-off queue and
+    /// dropped before the first wait so that a closed channel means
+    /// "every queue has run or been dropped".
+    report: Option<mpsc::Sender<M>>,
+    reports: mpsc::Receiver<M>,
+    outstanding: usize,
+}
+
+impl<M> InFlight<M> {
+    fn new() -> Self {
+        let (report, reports) = mpsc::channel();
+        InFlight {
+            report: Some(report),
+            reports,
+            outstanding: 0,
+        }
+    }
+
+    /// A sender for one queue about to be handed off.
+    fn reporter(&self) -> mpsc::Sender<M> {
+        self.report
+            .clone()
+            .expect("queues are handed off before the first wait")
+    }
+
+    /// Blocks for the next report; `None` once nothing is outstanding.
+    fn next(&mut self) -> Option<M> {
+        self.report = None;
+        if self.outstanding == 0 {
+            return None;
+        }
+        match self.reports.recv() {
+            Ok(m) => {
+                self.outstanding -= 1;
+                Some(m)
+            }
+            // Every sender is gone without a report: the remaining
+            // queues were dropped unrun, nothing borrows the job any more.
+            Err(mpsc::RecvError) => {
+                self.outstanding = 0;
+                None
+            }
+        }
+    }
+}
+
+impl<M> Drop for InFlight<M> {
+    fn drop(&mut self) {
+        while self.next().is_some() {}
+    }
+}
+
+/// One worker's metric handles in the attached [`Obs`]. Each half is
+/// resolved on first use — not per job, the registry takes a lock — and
+/// only then, so a worker that never runs a task registers no series.
+#[derive(Debug, Default)]
+struct WorkerObs {
+    run: OnceLock<RunObs>,
+    /// `dita_worker_wait_seconds{worker}`; apart from `run` because the
+    /// dynamic path records waits for the *scheduled* worker, which need
+    /// not have run anything physically.
+    wait: OnceLock<Histogram>,
+}
+
+/// What a worker records while it runs a queue (all no-ops when the
+/// context is disabled).
+#[derive(Debug)]
+struct RunObs {
+    span_label: String,
+    tasks: Counter,
+    retries: Counter,
+    bytes: Counter,
+    net: Histogram,
+    cpu: Histogram,
+}
+
+impl RunObs {
+    fn resolve(obs: &Obs, wid: usize) -> Self {
+        let wlabel = wid.to_string();
+        let labels: &[(&str, &str)] = &[("worker", wlabel.as_str())];
+        RunObs {
+            span_label: format!("worker={wid}"),
+            tasks: obs.counter_labeled(names::TASKS_TOTAL, labels),
+            retries: obs.counter_labeled(names::TASK_RETRIES_TOTAL, labels),
+            bytes: obs.counter_labeled(names::NETWORK_BYTES_TOTAL, labels),
+            net: obs.histogram_seconds_labeled(names::TASK_NETWORK_SECONDS, labels),
+            cpu: obs.histogram_seconds_labeled(names::TASK_COMPUTE_SECONDS, labels),
+        }
+    }
+}
+
+fn unresolved_worker_obs(num_workers: usize) -> Arc<[WorkerObs]> {
+    (0..num_workers).map(|_| WorkerObs::default()).collect()
+}
+
 /// A simulated cluster: a pool of logical workers plus a network model.
+///
+/// Cloning is cheap and shares the worker threads; they are joined when
+/// the last clone drops.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
     obs: Obs,
+    /// Handles into `obs`, shared with clones until one re-attaches.
+    worker_obs: Arc<[WorkerObs]>,
+    pool: Arc<Pool>,
 }
 
 impl Cluster {
-    /// Creates a cluster.
+    /// Creates a cluster and starts its worker threads.
     ///
     /// # Panics
     /// Panics if `num_workers == 0` or any slowdown factor is < 1.0.
@@ -174,6 +379,8 @@ impl Cluster {
             "slowdown factors must be >= 1.0"
         );
         Cluster {
+            worker_obs: unresolved_worker_obs(config.num_workers),
+            pool: Arc::new(Pool::new(config.num_workers)),
             config,
             obs: Obs::disabled(),
         }
@@ -181,9 +388,11 @@ impl Cluster {
 
     /// Attaches an observability context: subsequent jobs record per-worker
     /// task/retry/network/compute metrics and a per-task span timeline into
-    /// it. Detach by attaching [`Obs::disabled`].
+    /// it. Detach by attaching [`Obs::disabled`]. Clones made earlier keep
+    /// their own context.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.obs = obs;
+        self.worker_obs = unresolved_worker_obs(self.config.num_workers);
     }
 
     /// The cluster's observability context (disabled unless attached).
@@ -205,12 +414,16 @@ impl Cluster {
         self.config.slowdowns.get(worker).copied().unwrap_or(1.0)
     }
 
-    /// Executes a job: every task runs on its pinned worker; workers run
-    /// concurrently, tasks within a worker sequentially. Returns the task
-    /// results in submission order plus the job statistics.
+    /// Executes a job: every task runs on its pinned worker's thread;
+    /// workers run concurrently, tasks within a worker sequentially. The
+    /// calling thread (the driver) blocks until the last worker is done.
+    /// Returns the task results in submission order plus the job
+    /// statistics.
     ///
     /// # Panics
-    /// Panics if any task names a worker `>= num_workers`.
+    /// Panics if any task names a worker `>= num_workers`, or if called
+    /// from inside a task of this same cluster (jobs do not nest, see the
+    /// module docs).
     pub fn execute<T, R, F>(&self, tasks: Vec<TaskSpec<T>>, f: F) -> (Vec<R>, JobStats)
     where
         T: Send + Clone,
@@ -231,8 +444,12 @@ impl Cluster {
     /// abort diagnostics, and keeps unwinding out of the hot path.
     ///
     /// # Panics
-    /// Panics if any task names a worker `>= num_workers`, or when a task
-    /// fails all of its attempts (the job abort).
+    /// Panics like [`Cluster::execute`], and when a task fails all of its
+    /// attempts (the job abort). The abort re-raises the worker's own
+    /// panic on the driver — "task failed after 4 attempts: task error:
+    /// …" for a [`TaskError`], the task's last panic payload otherwise —
+    /// after every other worker has finished its queue. The worker
+    /// threads survive it; the cluster stays usable.
     pub fn execute_try<T, R, F>(&self, tasks: Vec<TaskSpec<T>>, f: F) -> (Vec<R>, JobStats)
     where
         T: Send + Clone,
@@ -247,6 +464,14 @@ impl Cluster {
     /// per-worker barrier-wait metric: the dynamic path prices waits from
     /// its *scheduled* assignment instead, so its physical round-robin
     /// run must not pollute the series.
+    ///
+    /// The hand-off protocol: split the tasks into per-worker queues;
+    /// box each non-empty queue's run as one closure and send it down
+    /// that worker's FIFO; receive one report per handed-off queue
+    /// (stats and results, or the panic that ended it); re-raise the
+    /// lowest-numbered worker's panic, if any; otherwise assemble
+    /// [`JobStats`]. The closures borrow this frame (`f`, the payloads'
+    /// and results' lifetimes), which [`InFlight`] makes sound.
     fn execute_impl<T, R, F>(
         &self,
         tasks: Vec<TaskSpec<T>>,
@@ -262,6 +487,11 @@ impl Cluster {
         for t in &tasks {
             assert!(t.worker < nw, "task pinned to unknown worker {}", t.worker);
         }
+        assert!(
+            WORKER_OF.with(Cell::get) != self.pool.id,
+            "a task submitted a job to the cluster it is running on: the job would \
+             queue behind the task that waits for it — jobs do not nest"
+        );
 
         // Split tasks into per-worker queues, remembering submission order.
         let mut queues: Vec<Vec<(usize, TaskSpec<T>)>> = (0..nw).map(|_| Vec::new()).collect();
@@ -274,6 +504,7 @@ impl Cluster {
         let f = &f;
         let net = &self.config.network;
         let obs = &self.obs;
+        let worker_obs = &*self.worker_obs;
         // The driver thread's current span (if any) becomes the parent of
         // every worker span, stitching the per-worker subtrees into the
         // caller's operation span across the thread boundary.
@@ -283,138 +514,177 @@ impl Cluster {
         // task absorbs its neighbours' timeslices. Logical workers keep
         // their own queues, spans and stats — only the measured region is
         // serialized.
-        let serialize = !cpu_clock_works();
-        let gate = dita_obs::OrderedMutex::with_obs(&dita_obs::sync::locks::EXECUTOR_GATE, (), obs);
+        let gate = (!cpu_clock_works()).then(|| {
+            dita_obs::OrderedMutex::with_obs(&dita_obs::sync::locks::EXECUTOR_GATE, (), obs)
+        });
         let gate = &gate;
 
         type TaskOut<R> = (usize, R, TaskCost);
-        let mut per_worker: Vec<(WorkerStats, Vec<TaskOut<R>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = queues
-                .into_iter()
-                .enumerate()
-                .map(|(wid, queue)| {
-                    scope.spawn(move || {
-                        let mut stats = WorkerStats::default();
-                        let mut results = Vec::with_capacity(queue.len());
-                        // Idle workers record nothing: no span, no
-                        // zero-valued metric series. Neither does a disabled
-                        // context, so it builds none of the labels.
-                        let record = obs.is_enabled() && !queue.is_empty();
-                        let _worker_span = if record {
-                            obs.span_under_labeled(
-                                parent,
-                                names::SPAN_WORKER,
-                                format!("worker={wid}"),
-                            )
-                        } else {
-                            dita_obs::SpanGuard::noop()
-                        };
-                        let (m_tasks, m_retries, m_bytes, h_net, h_cpu) = if record {
-                            let wlabel = wid.to_string();
-                            let labels: &[(&str, &str)] = &[("worker", wlabel.as_str())];
-                            (
-                                obs.counter_labeled(names::TASKS_TOTAL, labels),
-                                obs.counter_labeled(names::TASK_RETRIES_TOTAL, labels),
-                                obs.counter_labeled(names::NETWORK_BYTES_TOTAL, labels),
-                                obs.histogram_seconds_labeled(names::TASK_NETWORK_SECONDS, labels),
-                                obs.histogram_seconds_labeled(names::TASK_COMPUTE_SECONDS, labels),
-                            )
-                        } else {
-                            Default::default()
-                        };
-                        for (i, task) in queue {
-                            stats.bytes_received += task.incoming_bytes;
-                            let net_sec = net.transfer_sec(task.incoming_bytes);
-                            stats.network += Duration::from_secs_f64(net_sec);
-                            m_bytes.add(task.incoming_bytes);
-                            h_net.observe(net_sec);
-                            let mut task_span = match task.partition {
-                                Some(pid) => {
-                                    dita_obs::span!(obs, names::SPAN_TASK, worker = wid, pid = pid)
-                                }
-                                None => dita_obs::span!(obs, names::SPAN_TASK, worker = wid),
-                            };
-                            // Attribute the span for the critical-path
-                            // analyzer: which lane ran it and what its
-                            // shipment cost.
-                            task_span.set_worker(wid as u32);
-                            task_span.set_bytes(task.incoming_bytes);
-                            task_span.set_net_sec(net_sec);
-                            let _slot = serialize.then(|| gate.lock());
-                            let _ = take_extra_compute(); // discard stale charges
-                            let wall0 = Instant::now();
-                            let t0 = thread_cpu_time();
-                            // Task-level fault tolerance: a task that
-                            // panics *or* returns Err(TaskError) is retried
-                            // up to MAX_TASK_ATTEMPTS times with an
-                            // identical (cloned) payload — Spark's
-                            // spark.task.maxFailures behaviour.
-                            let mut outcome: Result<R, TaskError> =
-                                Err(TaskError::new("task never attempted"));
-                            for attempt in 1..=MAX_TASK_ATTEMPTS {
-                                let payload = task.payload.clone();
-                                match catch_unwind(AssertUnwindSafe(|| f(wid, payload))) {
-                                    Ok(Ok(v)) => {
-                                        outcome = Ok(v);
-                                        break;
-                                    }
-                                    Ok(Err(e)) => {
-                                        outcome = Err(e);
-                                        if attempt < MAX_TASK_ATTEMPTS {
-                                            stats.retries += 1;
-                                            m_retries.inc();
-                                        }
-                                    }
-                                    Err(_) if attempt < MAX_TASK_ATTEMPTS => {
-                                        stats.retries += 1;
-                                        m_retries.inc();
-                                    }
-                                    Err(p) => std::panic::resume_unwind(p),
-                                }
+        type QueueOut<R> = (WorkerStats, Vec<TaskOut<R>>);
+        type Report<R> = (usize, Result<QueueOut<R>, Box<dyn Any + Send>>);
+        let mut in_flight = InFlight::<Report<R>>::new();
+        for (wid, queue) in queues.into_iter().enumerate() {
+            // Idle workers are not woken and record nothing: no span, no
+            // zero-valued metric series.
+            if queue.is_empty() {
+                continue;
+            }
+            let report = in_flight.reporter();
+            let work: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                // The unwind of a job abort stops here, so the worker
+                // thread lives on and the driver hears about it.
+                let out = catch_unwind(AssertUnwindSafe(move || {
+                    let mut stats = WorkerStats::default();
+                    let mut results = Vec::with_capacity(queue.len());
+                    let m = worker_obs[wid]
+                        .run
+                        .get_or_init(|| RunObs::resolve(obs, wid));
+                    // A disabled context builds no span label.
+                    let _worker_span = if obs.is_enabled() {
+                        obs.span_under_labeled(parent, names::SPAN_WORKER, m.span_label.clone())
+                    } else {
+                        dita_obs::SpanGuard::noop()
+                    };
+                    for (i, task) in queue {
+                        stats.bytes_received += task.incoming_bytes;
+                        let net_sec = net.transfer_sec(task.incoming_bytes);
+                        stats.network += Duration::from_secs_f64(net_sec);
+                        m.bytes.add(task.incoming_bytes);
+                        m.net.observe(net_sec);
+                        let mut task_span = match task.partition {
+                            Some(pid) => {
+                                dita_obs::span!(obs, names::SPAN_TASK, worker = wid, pid = pid)
                             }
-                            let extra = take_extra_compute();
-                            let cpu =
-                                task_compute(thread_cpu_time().saturating_sub(t0), wall0.elapsed())
-                                    + extra;
-                            task_span.add_cpu(extra);
-                            drop(task_span);
-                            stats.compute += cpu;
-                            stats.tasks += 1;
-                            m_tasks.inc();
-                            h_cpu.observe(cpu.as_secs_f64());
-                            let v = match outcome {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    // The job abort: the worker thread's
-                                    // unwind reaches the driver's join and
-                                    // fails the whole job, mirroring Spark
-                                    // aborting a stage once a task exhausts
-                                    // its attempts.
-                                    // lint: allow(worker-panic, reason = "deliberate job abort after MAX_TASK_ATTEMPTS exhausted")
-                                    panic!("task failed after {MAX_TASK_ATTEMPTS} attempts: {e}");
+                            None => dita_obs::span!(obs, names::SPAN_TASK, worker = wid),
+                        };
+                        // Attribute the span for the critical-path
+                        // analyzer: which lane ran it and what its
+                        // shipment cost.
+                        task_span.set_worker(wid as u32);
+                        task_span.set_bytes(task.incoming_bytes);
+                        task_span.set_net_sec(net_sec);
+                        let _slot = gate.as_ref().map(|g| g.lock());
+                        // Discard stale charges: one made outside any task,
+                        // or left on this thread by an earlier job.
+                        let _ = take_extra_compute();
+                        let wall0 = Instant::now();
+                        let t0 = thread_cpu_time();
+                        // Task-level fault tolerance: a task that
+                        // panics *or* returns Err(TaskError) is retried
+                        // up to MAX_TASK_ATTEMPTS times with an
+                        // identical (cloned) payload — Spark's
+                        // spark.task.maxFailures behaviour.
+                        let mut outcome: Result<R, TaskError> =
+                            Err(TaskError::new("task never attempted"));
+                        for attempt in 1..=MAX_TASK_ATTEMPTS {
+                            let payload = task.payload.clone();
+                            match catch_unwind(AssertUnwindSafe(|| f(wid, payload))) {
+                                Ok(Ok(v)) => {
+                                    outcome = Ok(v);
+                                    break;
                                 }
-                            };
-                            results.push((
-                                i,
-                                v,
-                                TaskCost {
-                                    worker: wid,
-                                    partition: task.partition,
-                                    compute_sec: cpu.as_secs_f64(),
-                                    network_sec: net_sec,
-                                    bytes: task.incoming_bytes,
-                                },
-                            ));
+                                Ok(Err(e)) => {
+                                    outcome = Err(e);
+                                    if attempt < MAX_TASK_ATTEMPTS {
+                                        stats.retries += 1;
+                                        m.retries.inc();
+                                    }
+                                }
+                                Err(_) if attempt < MAX_TASK_ATTEMPTS => {
+                                    stats.retries += 1;
+                                    m.retries.inc();
+                                }
+                                Err(p) => resume_unwind(p),
+                            }
                         }
-                        (stats, results)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+                        let extra = take_extra_compute();
+                        let cpu =
+                            task_compute(thread_cpu_time().saturating_sub(t0), wall0.elapsed())
+                                + extra;
+                        task_span.add_cpu(extra);
+                        drop(task_span);
+                        stats.compute += cpu;
+                        stats.tasks += 1;
+                        m.tasks.inc();
+                        m.cpu.observe(cpu.as_secs_f64());
+                        let v = match outcome {
+                            Ok(v) => v,
+                            Err(e) => {
+                                // The job abort: the unwind ends this
+                                // worker's queue and is re-raised on the
+                                // driver, failing the whole job —
+                                // mirroring Spark aborting a stage once a
+                                // task exhausts its attempts.
+                                // lint: allow(worker-panic, reason = "deliberate job abort after MAX_TASK_ATTEMPTS exhausted")
+                                panic!("task failed after {MAX_TASK_ATTEMPTS} attempts: {e}");
+                            }
+                        };
+                        results.push((
+                            i,
+                            v,
+                            TaskCost {
+                                worker: wid,
+                                partition: task.partition,
+                                compute_sec: cpu.as_secs_f64(),
+                                network_sec: net_sec,
+                                bytes: task.incoming_bytes,
+                            },
+                        ));
+                    }
+                    (stats, results)
+                }));
+                // Last: once this is received the driver may return. A
+                // failed send would mean the driver dropped `in_flight`
+                // early, which its `Drop` rules out.
+                let _ = report.send((wid, out));
+            });
+            // SAFETY: the transmute only erases the closure's lifetime —
+            // both types are the same fat pointer — so that it can cross
+            // the worker's `'static` FIFO; `thread::scope` does the same
+            // internally. What the lifetime protected is everything the
+            // closure borrows from this frame: `f`, `gate`, the cluster
+            // behind `net`/`obs`/`worker_obs`, and whatever the caller's
+            // `T` and `R` borrow. Those borrows stay valid because this
+            // frame cannot end while the closure is alive: `in_flight`
+            // was created before this first hand-off, counts the closure
+            // from the line after the send, and blocks in `next`/`Drop`
+            // — on return and on unwind alike — until the closure has
+            // sent its report or been dropped unrun (a closed channel).
+            // The report is the closure's last use of anything borrowed:
+            // by then the queue, its payloads and all spans are dropped,
+            // the results have moved into the message (dropped, like
+            // every message, by this thread), and all that remains is its
+            // own `Sender`, a handle to the channel's heap state. A
+            // closure the FIFO refuses comes back in the error and is
+            // dropped right here, before the panic. Nothing can leak the
+            // guard: it is a local of this function and never moved.
+            let work: Work = unsafe { std::mem::transmute(work) };
+            self.pool.fifos[wid]
+                .send(work)
+                .expect("cluster worker threads live as long as the cluster");
+            in_flight.outstanding += 1;
+        }
+
+        let handed_off = in_flight.outstanding;
+        let mut reports: Vec<Report<R>> = std::iter::from_fn(|| in_flight.next()).collect();
+        assert_eq!(
+            reports.len(),
+            handed_off,
+            "a cluster worker thread exited with a job in flight"
+        );
+        // Every queue has finished either way; in worker order, so the
+        // abort a caller sees does not depend on which worker lost a race.
+        reports.sort_by_key(|&(wid, _)| wid);
+        let mut per_worker: Vec<QueueOut<R>> = (0..nw)
+            .map(|_| (WorkerStats::default(), Vec::new()))
+            .collect();
+        for (wid, out) in reports {
+            match out {
+                Ok(done) => per_worker[wid] = done,
+                // The job abort, with the worker's own message.
+                Err(payload) => resume_unwind(payload),
+            }
+        }
 
         let elapsed = started.elapsed();
         let mut workers = Vec::with_capacity(nw);
@@ -454,12 +724,14 @@ impl Cluster {
             if ws.tasks == 0 {
                 continue;
             }
-            let wlabel = wid.to_string();
-            self.obs
-                .histogram_seconds_labeled(
-                    names::WORKER_WAIT_SECONDS,
-                    &[("worker", wlabel.as_str())],
-                )
+            self.worker_obs[wid]
+                .wait
+                .get_or_init(|| {
+                    self.obs.histogram_seconds_labeled(
+                        names::WORKER_WAIT_SECONDS,
+                        &[("worker", wid.to_string().as_str())],
+                    )
+                })
                 .observe(wait);
         }
     }
@@ -618,6 +890,16 @@ pub struct DynTaskSpec<T> {
     pub partition: Option<usize>,
     /// Task payload.
     pub payload: T,
+}
+
+/// The text of a caught panic, as the default hook would print it.
+#[cfg(test)]
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic payload>")
 }
 
 #[cfg(test)]
@@ -813,19 +1095,37 @@ mod tests {
     #[test]
     fn stale_charges_are_discarded_before_a_task() {
         // A charge made outside any task (here: on the main thread) must not
-        // leak into worker stats — and worker threads are fresh anyway.
+        // leak into worker stats.
         charge_compute(Duration::from_secs(500));
         let c = cluster(1);
-        let tasks = vec![TaskSpec {
-            worker: 0,
-            incoming_bytes: 0,
-            partition: None,
-            payload: (),
-        }];
-        let (_, stats) = c.execute(tasks, |_, ()| ());
+        let task = || {
+            vec![TaskSpec {
+                worker: 0,
+                incoming_bytes: 0,
+                partition: None,
+                payload: (),
+            }]
+        };
+        let (_, stats) = c.execute(task(), |_, ()| ());
         assert!(
             stats.workers[0].compute < Duration::from_secs(100),
             "stale charge leaked: {:?}",
+            stats.workers[0].compute
+        );
+        // Worker threads outlive a job, so neither may a charge that job
+        // n left on one be billed to job n + 1: an aborted task unwinds
+        // past the point where its charges are drained.
+        let aborted = catch_unwind(AssertUnwindSafe(|| {
+            c.execute(task(), |_, ()| {
+                charge_compute(Duration::from_secs(500));
+                panic!("abort with the charge still pending");
+            })
+        }));
+        assert!(aborted.is_err());
+        let (_, stats) = c.execute(task(), |_, ()| ());
+        assert!(
+            stats.workers[0].compute < Duration::from_secs(100),
+            "the previous job's charge leaked: {:?}",
             stats.workers[0].compute
         );
     }
@@ -1134,9 +1434,10 @@ mod retry_tests {
                 Err(TaskError::new("bad shard"))
             })
         }));
-        assert!(
-            r.is_err(),
-            "a task erroring on all attempts must fail the job"
+        let payload = r.expect_err("a task erroring on all attempts must fail the job");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "task failed after 4 attempts: task error: bad shard"
         );
     }
 
@@ -1204,6 +1505,242 @@ mod retry_tests {
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
             c.execute(tasks, |_w, ()| -> () { panic!("permanent failure") })
         }));
-        assert!(r.is_err(), "a task failing all attempts must fail the job");
+        let payload = r.expect_err("a task failing all attempts must fail the job");
+        assert_eq!(panic_message(payload.as_ref()), "permanent failure");
+    }
+}
+
+#[cfg(test)]
+mod pool_tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn one_task_per_worker(n: usize) -> Vec<TaskSpec<()>> {
+        (0..n)
+            .map(|w| TaskSpec {
+                worker: w,
+                incoming_bytes: 0,
+                partition: None,
+                payload: (),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_job_spawns_no_thread() {
+        // The deterministic "spawns per job = 0" gate: worker w is the
+        // same OS thread in every job, and a different one per worker.
+        let c = Cluster::new(ClusterConfig::with_workers(3));
+        let seen = |c: &Cluster| {
+            c.execute(one_task_per_worker(3), |_w, ()| {
+                let me = thread::current();
+                (me.id(), me.name().map(str::to_owned))
+            })
+            .0
+        };
+        let first = seen(&c);
+        for (w, (id, name)) in first.iter().enumerate() {
+            assert_eq!(name.as_deref(), Some(format!("dita-worker-{w}").as_str()));
+            assert_ne!(*id, thread::current().id(), "the driver runs no queue");
+            assert!(first[..w].iter().all(|(other, _)| other != id));
+        }
+        for job in 0..100 {
+            assert_eq!(seen(&c), first, "job {job} ran on other threads");
+        }
+        // Clones share the threads rather than starting their own.
+        assert_eq!(seen(&c.clone()), first);
+    }
+
+    #[test]
+    fn the_pool_survives_a_job_abort() {
+        let c = Cluster::new(ClusterConfig::with_workers(2));
+        let before = c.execute(one_task_per_worker(2), |_w, ()| thread::current().id());
+        let aborted = catch_unwind(AssertUnwindSafe(|| {
+            c.execute(one_task_per_worker(2), |w, ()| {
+                if w == 1 {
+                    panic!("worker 1 cannot do this");
+                }
+                w
+            })
+        }));
+        let payload = aborted.expect_err("a task panicking on every attempt aborts the job");
+        assert_eq!(panic_message(payload.as_ref()), "worker 1 cannot do this");
+        // Same cluster, same threads, next job is fine.
+        let after = c.execute(one_task_per_worker(2), |_w, ()| thread::current().id());
+        assert_eq!(before.0, after.0);
+        assert_eq!(after.1.workers.iter().map(|w| w.tasks).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn the_lowest_failing_worker_is_the_one_reported() {
+        let c = Cluster::new(ClusterConfig::with_workers(3));
+        let aborted = catch_unwind(AssertUnwindSafe(|| {
+            c.execute_try(one_task_per_worker(3), |w, ()| {
+                if w == 0 {
+                    Ok(())
+                } else {
+                    Err(TaskError::new(format!("shard {w}")))
+                }
+            })
+        }));
+        let payload = aborted.expect_err("two workers failed");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "task failed after 4 attempts: task error: shard 1"
+        );
+    }
+
+    #[test]
+    fn concurrent_drivers_get_their_own_results_in_order() {
+        let c = Cluster::new(ClusterConfig::with_workers(3));
+        // Both drivers are submitting before either has finished.
+        let start = Barrier::new(2);
+        thread::scope(|s| {
+            for driver in 0..2u64 {
+                let (c, start) = (c.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for job in 0..1_000u64 {
+                        let tasks: Vec<TaskSpec<u64>> = (0..5)
+                            .map(|i| TaskSpec {
+                                worker: ((job + i) % 3) as usize,
+                                incoming_bytes: 0,
+                                partition: None,
+                                payload: i,
+                            })
+                            .collect();
+                        let (results, stats) = c.execute(tasks, |_w, i| (driver, job, i));
+                        let expect: Vec<_> = (0..5).map(|i| (driver, job, i)).collect();
+                        assert_eq!(results, expect);
+                        assert_eq!(stats.workers.iter().map(|w| w.tasks).sum::<usize>(), 5);
+                    }
+                });
+            }
+        });
+    }
+
+    /// Targeted exercise of the lifetime erasure in `execute_impl` (see
+    /// its SAFETY comment), in the style of `dita_obs::time`'s
+    /// `unsafe_call_contract`: the closure, the payloads and the results
+    /// all borrow a `Vec` on this stack, and the driver mutates that
+    /// `Vec` between jobs — which is only sound, and only yields the
+    /// sums asserted here, if no worker touches a job's borrows once
+    /// `execute` has returned. `the_pool_survives_a_job_abort` and
+    /// `stale_charges_are_discarded_before_a_task` cover the unwinding
+    /// exit.
+    #[test]
+    fn ten_thousand_jobs_borrow_the_drivers_stack() {
+        let c = Cluster::new(ClusterConfig::with_workers(2));
+        let mut data: Vec<u64> = (0..64).collect();
+        for job in 0..10_000usize {
+            let offset = data[0];
+            let tasks: Vec<TaskSpec<&[u64]>> = data
+                .chunks(16)
+                .enumerate()
+                .map(|(i, chunk)| TaskSpec {
+                    worker: i % 2,
+                    incoming_bytes: 0,
+                    partition: None,
+                    payload: chunk,
+                })
+                .collect();
+            let bias = &offset;
+            let (firsts, _) = c.execute(tasks, |_w, chunk: &[u64]| {
+                (&chunk[0], chunk.iter().sum::<u64>() + *bias)
+            });
+            let total: u64 = firsts.iter().map(|&(_, sum)| sum).sum();
+            assert_eq!(total, data.iter().sum::<u64>() + 4 * offset, "job {job}");
+            assert!(std::ptr::eq(firsts[3].0, &data[48]));
+            data[job % 64] += 1;
+        }
+    }
+
+    #[test]
+    fn a_nested_job_fails_loudly_instead_of_hanging() {
+        let c = Cluster::new(ClusterConfig::with_workers(2));
+        let other = Cluster::new(ClusterConfig::with_workers(1));
+        let nested = catch_unwind(AssertUnwindSafe(|| {
+            c.execute(one_task_per_worker(1), |_w, ()| {
+                // Worker 1 is idle, so this is not even the w0 → w0 case.
+                c.execute(
+                    vec![TaskSpec {
+                        worker: 1,
+                        incoming_bytes: 0,
+                        partition: None,
+                        payload: (),
+                    }],
+                    |_w, ()| (),
+                );
+            })
+        }));
+        let payload = nested.expect_err("a task may not drive its own cluster");
+        assert!(
+            panic_message(payload.as_ref()).contains("jobs do not nest"),
+            "{}",
+            panic_message(payload.as_ref())
+        );
+        // A task driving *another* cluster waits on other threads: fine.
+        let (sums, _) = c.execute(one_task_per_worker(2), |_w, ()| {
+            other.execute(one_task_per_worker(1), |_w, ()| 7).0[0]
+        });
+        assert_eq!(sums, vec![7, 7]);
+    }
+
+    /// `Threads:` of `/proc/self/status`.
+    #[cfg(target_os = "linux")]
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("Threads: line")
+    }
+
+    /// [`process_threads`] once it reads `expect`, or whatever it reads
+    /// after five seconds: a joined thread leaves the kernel's count a
+    /// moment after `join` returns.
+    #[cfg(target_os = "linux")]
+    fn settled_threads(expect: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let n = process_threads();
+            if n == expect || Instant::now() > deadline {
+                return n;
+            }
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn dropping_the_last_clone_joins_the_workers() {
+        // The count is the process's, so it only means something while no
+        // other test runs: re-run this test alone in a child process
+        // unless the harness is already serial.
+        const NAME: &str = "dropping_the_last_clone_joins_the_workers";
+        if !std::env::args().any(|a| a == "--test-threads=1") {
+            let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                .args([NAME, "--test-threads=1"])
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&child.stdout);
+            assert!(
+                child.status.success() && stdout.contains("1 passed"),
+                "{stdout}\n{}",
+                String::from_utf8_lossy(&child.stderr)
+            );
+            return;
+        }
+        let before = process_threads();
+        let c = Cluster::new(ClusterConfig::with_workers(4));
+        assert_eq!(process_threads(), before + 4);
+        let clone = c.clone();
+        let _ = clone.execute(one_task_per_worker(4), |_w, ()| ());
+        assert_eq!(process_threads(), before + 4, "no thread per job");
+        drop(c);
+        assert_eq!(process_threads(), before + 4, "a clone is alive");
+        drop(clone);
+        assert_eq!(settled_threads(before), before, "workers not joined");
     }
 }

@@ -4,9 +4,9 @@
 //! exchanging trajectories over a network. This crate substitutes for that
 //! substrate at laptop scale (DESIGN.md §2):
 //!
-//! * [`Cluster`] executes partition-pinned tasks on real worker threads, so
-//!   scale-up behaviour (more workers → shorter makespan) is physically
-//!   real, not modelled.
+//! * [`Cluster`] executes partition-pinned tasks on real, long-lived worker
+//!   threads, so scale-up behaviour (more workers → shorter makespan) is
+//!   physically real, not modelled.
 //! * every inter-worker shipment is charged through a [`NetworkModel`]
 //!   (`bytes / bandwidth + latency`), giving the λ = 1/(Δ·B) constant the
 //!   paper's cost model (§6.2) needs, and letting experiments report

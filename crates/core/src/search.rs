@@ -266,7 +266,7 @@ fn overlay_deltas(
 /// computed up front; a worker receives a single task carrying every query
 /// that reaches it, priced at one broadcast per distinct query — the batch
 /// charges the network exactly what the per-query loop would, and pays the
-/// executor's spawn/join once. Inside the task each query is probed and
+/// executor's hand-off once. Inside the task each query is probed and
 /// verified on its own, partition by partition.
 ///
 /// Returns per-query result vectors (each sorted by id, exactly what
@@ -301,8 +301,8 @@ pub fn search_batch_with_scratch(
 }
 
 /// The one search implementation. The caller has opened the operation
-/// span: the executor captures the driver's current span before spawning
-/// workers, so worker/task spans nest under it.
+/// span: the executor captures the driver's current span before handing
+/// the queues to its workers, so worker/task spans nest under it.
 pub(crate) fn run_batch(
     system: &DitaSystem,
     queries: &[&[Point]],

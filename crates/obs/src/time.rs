@@ -16,9 +16,8 @@ pub fn thread_cpu_time() -> Duration {
         tv_sec: 0,
         tv_nsec: 0,
     };
-    // SAFETY: the workspace's single unsafe block. `clock_gettime`
-    // writes one `timespec` through the pointer and touches nothing
-    // else. `&mut ts` points to a live, properly aligned, initialized
+    // SAFETY: `clock_gettime` writes one `timespec` through the pointer
+    // and touches nothing else. `&mut ts` points to a live, properly aligned, initialized
     // stack value that outlives the call; the kernel either fills it
     // and returns 0, or returns -1 leaving `ts` in its initialized
     // state — both leave `ts` valid to read, and we only trust its

@@ -631,3 +631,90 @@ fn new_requests_after_stop_get_503_and_inserts_survive_shutdown_flush() {
         .collect();
     assert!(live.contains(&77), "acknowledged insert must survive");
 }
+
+/// `Threads:` of `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Threads: line")
+}
+
+/// [`process_threads`] once it reads `expect`, or whatever it reads after
+/// five seconds: a joined thread leaves the kernel's count a moment after
+/// `join` returns.
+#[cfg(target_os = "linux")]
+fn settled_threads(expect: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let n = process_threads();
+        if n == expect || Instant::now() > deadline {
+            return n;
+        }
+        thread::yield_now();
+    }
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn shutdown_and_engine_drop_leave_no_thread_behind() {
+    // "Every thread joins" includes the cluster's long-lived workers,
+    // which belong to the engine, not the server. The count is the
+    // process's, so it only means something while no other test runs:
+    // re-run this test alone in a child process unless the harness is
+    // already serial.
+    const NAME: &str = "shutdown_and_engine_drop_leave_no_thread_behind";
+    if !std::env::args().any(|a| a == "--test-threads=1") {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([NAME, "--test-threads=1"])
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    let before = process_threads();
+    // `engine()` starts the two cluster workers, `Server::start` the
+    // accept thread, the dispatcher and the connection workers.
+    let server = start(ServerConfig::default());
+    let addr = server.addr();
+    assert!(process_threads() > before + 2);
+    // Put all of them to work once: an indexed search is a cluster job.
+    assert_eq!(
+        post(
+            addr,
+            "/sql",
+            "{\"sql\": \"CREATE INDEX i ON taxi USE TRIE\"}"
+        )
+        .0,
+        200
+    );
+    assert_eq!(
+        post(
+            addr,
+            "/search",
+            &format!("{{\"table\": \"taxi\", \"query\": {Q1}, \"tau\": 3}}"),
+        )
+        .0,
+        200
+    );
+    let engine = server.shutdown().expect("engine returned");
+    assert_eq!(
+        settled_threads(before + 2),
+        before + 2,
+        "a drained server keeps nothing but its engine's cluster workers"
+    );
+    drop(engine);
+    assert_eq!(
+        settled_threads(before),
+        before,
+        "cluster workers not joined"
+    );
+}
