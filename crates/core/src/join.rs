@@ -317,6 +317,8 @@ fn join_base(
         let mut candidates = 0usize;
         let mut pairs: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
         let mut scratch = Scratch::new();
+        // One probe stack and query buffer for every row this task ships.
+        let mut probe = ProbeScratch::new();
         for ei in eis {
             // Nested under the executor's worker task span.
             let e = &edges_ref[ei];
@@ -347,7 +349,8 @@ fn join_base(
                         *s.mbr(),
                         CellList::from_cells(s.cells().to_vec(), src_trie.store().cell_side()),
                     );
-                    let cands = dst_trie.candidates(ctx.points(), tau, func);
+                    let (cands, _) =
+                        dst_trie.candidates_with_scratch(ctx.points(), tau, func, &mut probe);
                     candidates += cands.len();
                     probes.push((s.id(), ctx, cands));
                 }

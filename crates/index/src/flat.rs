@@ -6,18 +6,24 @@
 //! the point data next to the `Trajectory`'s own `Vec<Point>`. At the
 //! paper's scale (§7: tens of millions of trajectories per worker) the
 //! pointer overhead and the duplicated coordinates, not the tree logic,
-//! cap how many trajectories fit in worker RAM.
+//! cap how many trajectories fit in worker RAM — and, one level down, the
+//! order of the arenas, not the tree logic, decides how many cache lines a
+//! probe touches.
 //!
 //! This module re-encodes both halves into contiguous arenas:
 //!
-//! * [`FlatNodes`] — fixed-width [`NodeRec`] records plus two shared
-//!   CSR-style `u32` arrays for children and members; a node refers to its
-//!   adjacency by `(start, len)` offsets instead of owning allocations.
+//! * [`FlatNodes`] — fixed-width [`NodeRec`] records and nothing else.
+//!   Siblings are flattened next to each other and local ids are handed
+//!   out in node order, so a record addresses its children and its members
+//!   as two `(first, len)` ranges: there is no id array to chase.
 //! * [`TrajStore`] — all member trajectories pooled into shared coordinate,
-//!   indexing-point, pivot and cell arenas with `u32` offset arrays. The
-//!   SoA coordinate arena **is** the canonical point storage: the flat
-//!   index holds one copy of every coordinate where the pointer layout
-//!   held two.
+//!   indexing-point, pivot and cell arenas with `u32` offset arrays, *in
+//!   leaf order*: member `i + 1` of a node lies right behind member `i` in
+//!   every arena, so a leaf's endpoint and pivot checks stream through
+//!   `ips` and its surviving candidates sit next to each other in `xs`/`ys`
+//!   for verification. The SoA coordinate arena **is** the canonical point
+//!   storage: the flat index holds one copy of every coordinate where the
+//!   pointer layout held two.
 //!
 //! Members are exposed as cheap [`EntryRef`] handles (a store pointer plus
 //! an index) with the same accessors verification needs. All arenas are
@@ -29,18 +35,18 @@ use crate::trie::IndexedTrajectory;
 use dita_trajectory::{Cell, Mbr, Point, SoaView, Trajectory, TrajectoryId};
 use serde::{Deserialize, Serialize};
 
-/// One fixed-width trie node record. Adjacency lives in the shared arrays
-/// of [`FlatNodes`]; the record only carries offsets.
+/// One fixed-width trie node record: 64 bytes, one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeRec {
     /// MBR of the members' indexing point at this node's depth.
     pub mbr: Mbr,
-    /// Offset of the first child id in the shared children array.
-    children_start: u32,
+    /// Node id of the first child; the children are consecutive records.
+    children_first: u32,
     /// Number of children (0 for leaves).
     children_len: u32,
-    /// Offset of the first member id in the shared members array.
-    members_start: u32,
+    /// Local id of the first member stored at this node; the members are
+    /// consecutive local ids.
+    members_first: u32,
     /// Number of members stored at this node.
     members_len: u32,
     /// Shortest trajectory in this subtree (EDR length filter).
@@ -51,22 +57,32 @@ pub struct NodeRec {
     pub depth: u8,
 }
 
-/// The node arena of one trie: records plus the two shared CSR arrays.
+impl NodeRec {
+    /// Node ids of this node's children.
+    #[inline]
+    pub fn children(&self) -> std::ops::Range<u32> {
+        self.children_first..self.children_first + self.children_len
+    }
+
+    /// Local ids of the members stored at this node.
+    #[inline]
+    pub fn members(&self) -> std::ops::Range<u32> {
+        self.members_first..self.members_first + self.members_len
+    }
+}
+
+/// The node arena of one trie: the records, siblings next to each other.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlatNodes {
     recs: Vec<NodeRec>,
-    children: Vec<u32>,
-    members: Vec<u32>,
 }
 
 impl FlatNodes {
-    /// An empty arena with exact capacities (so capacity-honest size
+    /// An empty arena with an exact capacity (so capacity-honest size
     /// accounting reports no slack).
-    pub(crate) fn with_capacity(recs: usize, children: usize, members: usize) -> Self {
+    pub(crate) fn with_capacity(recs: usize) -> Self {
         FlatNodes {
             recs: Vec::with_capacity(recs),
-            children: Vec::with_capacity(children),
-            members: Vec::with_capacity(members),
         }
     }
 
@@ -86,67 +102,54 @@ impl FlatNodes {
         &self.recs[id as usize]
     }
 
-    /// Child ids of a record.
+    /// The records of the consecutive nodes `ids`.
     #[inline]
-    pub fn children(&self, rec: &NodeRec) -> &[u32] {
-        let s = rec.children_start as usize;
-        &self.children[s..s + rec.children_len as usize]
+    pub fn recs(&self, ids: std::ops::Range<u32>) -> &[NodeRec] {
+        &self.recs[ids.start as usize..ids.end as usize]
     }
 
-    /// Member ids stored at a record.
-    #[inline]
-    pub fn members(&self, rec: &NodeRec) -> &[u32] {
-        let s = rec.members_start as usize;
-        &self.members[s..s + rec.members_len as usize]
-    }
-
-    /// Appends a node (members copied into the shared array, children
-    /// patched later via [`FlatNodes::set_children`]) and returns its id.
+    /// Appends a childless node owning the local ids `members`; its id is
+    /// the arena's length before the call, its children are patched later
+    /// via [`FlatNodes::set_children`].
     pub(crate) fn push(
         &mut self,
         mbr: Mbr,
         depth: u8,
         min_len: u32,
         max_len: u32,
-        members: &[u32],
-    ) -> u32 {
-        let members_start = self.members.len() as u32;
-        self.members.extend_from_slice(members);
-        let id = self.recs.len() as u32;
+        members: std::ops::Range<u32>,
+    ) {
         self.recs.push(NodeRec {
             mbr,
-            children_start: 0,
+            children_first: 0,
             children_len: 0,
-            members_start,
-            members_len: members.len() as u32,
+            members_first: members.start,
+            members_len: members.end - members.start,
             min_len,
             max_len,
             depth,
         });
-        id
     }
 
-    /// Assigns the (already flattened) children of node `id`.
-    pub(crate) fn set_children(&mut self, id: u32, kids: &[u32]) {
-        let start = self.children.len() as u32;
-        self.children.extend_from_slice(kids);
+    /// Assigns the (already flattened, consecutive) children of node `id`.
+    pub(crate) fn set_children(&mut self, id: u32, kids: std::ops::Range<u32>) {
         let rec = &mut self.recs[id as usize];
-        rec.children_start = start;
-        rec.children_len = kids.len() as u32;
+        rec.children_first = kids.start;
+        rec.children_len = kids.end - kids.start;
     }
 
     /// Allocated heap bytes (capacity, not length — slack is real memory).
     pub fn size_bytes(&self) -> usize {
         self.recs.capacity() * std::mem::size_of::<NodeRec>()
-            + self.children.capacity() * std::mem::size_of::<u32>()
-            + self.members.capacity() * std::mem::size_of::<u32>()
     }
 }
 
 /// All member trajectories of one trie, pooled into shared arenas.
 ///
 /// For `n` members, every `*_off` array holds `n + 1` offsets; member `i`
-/// owns the half-open arena range `off[i]..off[i + 1]`.
+/// owns the half-open arena range `off[i]..off[i + 1]`. Local ids follow
+/// the order in which the trie's nodes own their members (see
+/// [`crate::trie`]), not the build input's.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrajStore {
     ids: Vec<TrajectoryId>,
@@ -170,11 +173,17 @@ pub struct TrajStore {
 }
 
 impl TrajStore {
-    /// Pools a preprocessed member list into exact-capacity arenas. This is
-    /// pure data movement: the build output (and therefore the serialized
-    /// store) cannot depend on how many threads preprocessed `data`.
-    pub fn from_indexed(data: Vec<IndexedTrajectory>, cell_side: f64) -> Self {
+    /// Pools a preprocessed member list into exact-capacity arenas, member
+    /// `i` of the store being `data[order[i]]` — the pooling pass follows
+    /// the order vector, `data` is never reordered or copied. This is pure
+    /// data movement: the build output (and therefore the serialized store)
+    /// cannot depend on how many threads preprocessed `data`.
+    ///
+    /// # Panics
+    /// Panics unless `order` has one in-range entry per element of `data`.
+    pub fn from_indexed(data: Vec<IndexedTrajectory>, order: &[u32], cell_side: f64) -> Self {
         let n = data.len();
+        assert_eq!(order.len(), n, "one store slot per member");
         let total_pts: usize = data.iter().map(|d| d.traj.len()).sum();
         let total_ips: usize = data.iter().map(|d| d.index_points.len()).sum();
         let total_pivs: usize = data.iter().map(|d| d.pivots.len()).sum();
@@ -201,7 +210,8 @@ impl TrajStore {
         store.ip_off.push(0);
         store.piv_off.push(0);
         store.cell_off.push(0);
-        for it in &data {
+        for &o in order {
+            let it = &data[o as usize];
             store.ids.push(it.traj.id);
             let view = it.soa.view();
             store.xs.extend_from_slice(view.xs);
@@ -398,12 +408,18 @@ mod tests {
     use crate::pivot::PivotStrategy;
     use dita_trajectory::trajectory::figure1_trajectories;
 
-    fn store() -> TrajStore {
+    /// The Figure 1 trajectories pooled so that member `i` is input row
+    /// `order[i]`.
+    fn store_in(order: &[u32]) -> TrajStore {
         let data: Vec<IndexedTrajectory> = figure1_trajectories()
             .into_iter()
             .map(|t| IndexedTrajectory::new(t, 2, PivotStrategy::NeighborDistance, 2.0))
             .collect();
-        TrajStore::from_indexed(data, 2.0)
+        TrajStore::from_indexed(data, order, 2.0)
+    }
+
+    fn store() -> TrajStore {
+        store_in(&[0, 1, 2, 3, 4])
     }
 
     #[test]
@@ -436,6 +452,23 @@ mod tests {
             assert_eq!(e.cells(), it.cells.cells());
             assert_eq!(s.cell_side(), it.cells.side());
         }
+    }
+
+    #[test]
+    fn pooling_follows_the_order_vector() {
+        let ts = figure1_trajectories();
+        let order = [3u32, 0, 4, 2, 1];
+        let s = store_in(&order);
+        let plain = store();
+        for (e, &o) in s.iter().zip(&order) {
+            let src = plain.entry(o as usize);
+            assert_eq!(e.to_trajectory(), ts[o as usize]);
+            assert_eq!(e.index_points(), src.index_points());
+            assert_eq!(e.pivots(), src.pivots());
+            assert_eq!(e.mbr(), src.mbr());
+            assert_eq!(e.cells(), src.cells());
+        }
+        assert_eq!(s.size_bytes(), plain.size_bytes());
     }
 
     #[test]

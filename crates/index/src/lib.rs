@@ -9,8 +9,8 @@
 //! * [`trie`] — the (K+2)-level trie local index with the accumulated-budget
 //!   filter and the ordered-suffix optimization (§4.2.3, §5.3).
 //! * [`flat`] — the succinct flat encoding the trie is stored in: a
-//!   fixed-width node arena with CSR children/members arrays plus pooled
-//!   trajectory storage.
+//!   fixed-width node arena whose records address children and members as
+//!   ranges, plus trajectory storage pooled in the tree's leaf order.
 //! * [`pointer`] — the reference pointer-rich trie encoding, kept for parity
 //!   tests and memory-density comparisons.
 

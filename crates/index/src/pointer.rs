@@ -3,9 +3,10 @@
 //!
 //! This is the layout [`crate::trie::TrieIndex`] used before the succinct
 //! flat re-encoding ([`crate::flat`]). It is kept — built from the *same*
-//! deterministic pending tree and probed through the *same* shared
-//! [`crate::trie::visit_node`] / [`crate::trie::member_admits`] predicates —
-//! as the reference the flat layout is held to:
+//! deterministic pending tree with the *same* local ids and probed through
+//! the *same* shared [`crate::trie::node_admits`] /
+//! [`crate::trie::member_admits`] predicates — as the reference the flat
+//! layout is held to:
 //!
 //! 1. **Parity gates**: the flat probe must emit byte-identical candidate
 //!    sets and [`FilterStats`] funnels, at no more than a third of this
@@ -17,7 +18,7 @@
 //! execution.
 
 use crate::trie::{
-    build_pending, member_admits, visit_node, FilterStats, IndexedTrajectory, PendingNode,
+    build_pending, member_admits, node_admits, FilterStats, IndexedTrajectory, PendingNode,
     ProbeScratch, TrieConfig, Walk,
 };
 use dita_distance::DistanceFunction;
@@ -58,7 +59,7 @@ fn flatten(nodes: &mut Vec<PointerNode>, pending: PendingNode) -> u32 {
         mbr: pending.mbr,
         depth: pending.depth,
         children: Vec::new(),
-        members: pending.members,
+        members: pending.members.collect(),
         max_len: pending.max_len,
         min_len: pending.min_len,
     });
@@ -75,7 +76,14 @@ impl PointerTrie {
     /// Builds the reference encoding over a partition's trajectories from
     /// the same deterministic pending tree as [`crate::trie::TrieIndex`].
     pub fn build(trajectories: Vec<Trajectory>, config: TrieConfig) -> Self {
-        let (data, pending, _helper) = build_pending(trajectories, &config);
+        let (data, order, pending, _helper) = build_pending(trajectories, &config);
+        // Members are owned one by one here, so following the order vector
+        // means moving them into local-id order.
+        let mut data: Vec<Option<IndexedTrajectory>> = data.into_iter().map(Some).collect();
+        let data: Vec<IndexedTrajectory> = order
+            .iter()
+            .map(|&o| data[o as usize].take().expect("order is a permutation"))
+            .collect();
         let mut nodes = Vec::new();
         let roots: Vec<u32> = pending
             .into_iter()
@@ -104,7 +112,7 @@ impl PointerTrie {
         self.data.is_empty()
     }
 
-    /// The stored members.
+    /// The stored members, in local-id order.
     pub fn data(&self) -> &[IndexedTrajectory] {
         &self.data
     }
@@ -167,9 +175,7 @@ impl PointerTrie {
     ) -> (Vec<u32>, FilterStats) {
         let mut stats = FilterStats::default();
         let mut out = Vec::new();
-        self.probe(q, tau, func, &mut stats, &mut scratch.stack, |m| {
-            out.push(m)
-        });
+        self.probe(q, tau, func, &mut stats, scratch, |m| out.push(m));
         out.sort_unstable();
         out.dedup();
         (out, stats)
@@ -186,22 +192,22 @@ impl PointerTrie {
     ) -> usize {
         let mut stats = FilterStats::default();
         let mut count = 0usize;
-        self.probe(q, tau, func, &mut stats, &mut scratch.stack, |_| count += 1);
+        self.probe(q, tau, func, &mut stats, scratch, |_| count += 1);
         count
     }
 
     /// The pointer-layout traversal: same shared node/member predicates as
-    /// the flat probe, walking per-node `Vec`s instead of CSR slices.
+    /// the flat probe, walking per-node `Vec`s instead of id ranges.
     fn probe<F: FnMut(u32)>(
         &self,
         q: &[Point],
         tau: f64,
         func: &DistanceFunction,
         stats: &mut FilterStats,
-        stack: &mut Vec<(u32, f64, usize)>,
+        scratch: &mut ProbeScratch,
         mut emit: F,
     ) {
-        stack.clear();
+        let (stack, query) = scratch.begin(q);
         if q.is_empty() || tau < 0.0 {
             return;
         }
@@ -212,24 +218,29 @@ impl PointerTrie {
             return;
         };
         let edr = walk.is_edr();
-        for &r in &self.roots {
-            let node = &self.nodes[r as usize];
-            visit_node(
-                r,
-                &node.mbr,
-                node.depth,
-                node.min_len,
-                node.max_len,
-                q,
-                tau,
-                tau,
-                0,
-                &walk,
-                stats,
-                stack,
-            );
-        }
-        while let Some((node_id, budget, suffix)) = stack.pop() {
+        let mut level = (&self.roots[..], tau, 0usize);
+        loop {
+            let (ids, budget, suffix) = level;
+            for &id in ids {
+                let node = &self.nodes[id as usize];
+                if let Some((budget, suffix)) = node_admits(
+                    &node.mbr,
+                    node.depth,
+                    node.min_len,
+                    node.max_len,
+                    &query,
+                    tau,
+                    budget,
+                    suffix,
+                    &walk,
+                    stats,
+                ) {
+                    stack.push((id, budget, suffix));
+                }
+            }
+            let Some((node_id, budget, suffix)) = stack.pop() else {
+                return;
+            };
             let node = &self.nodes[node_id as usize];
             for &m in &node.members {
                 stats.members_checked += 1;
@@ -238,38 +249,16 @@ impl PointerTrie {
                     stats.members_pruned_length += 1;
                     continue;
                 }
-                let admits = member_admits(
-                    q,
-                    tau,
-                    &walk,
-                    it.traj.len(),
-                    &it.index_points,
-                    it.pivots.iter().copied(),
-                    it.soa.view(),
-                );
+                let admits = member_admits(&query, tau, &walk, &it.index_points, || {
+                    (it.traj.len(), it.pivots.iter().copied(), it.soa.view())
+                });
                 if admits {
                     emit(m);
                 } else {
                     stats.members_pruned_opamd += 1;
                 }
             }
-            for &c in &node.children {
-                let child = &self.nodes[c as usize];
-                visit_node(
-                    c,
-                    &child.mbr,
-                    child.depth,
-                    child.min_len,
-                    child.max_len,
-                    q,
-                    tau,
-                    budget,
-                    suffix,
-                    &walk,
-                    stats,
-                    stack,
-                );
-            }
+            level = (&node.children[..], budget, suffix);
         }
     }
 }

@@ -9,18 +9,27 @@
 //! with DFT's separated index/bitmap design.
 //!
 //! The built tree is encoded succinctly (see [`crate::flat`]): one
-//! contiguous arena of fixed-width node records with shared CSR-style
-//! children/members arrays, and all member trajectories pooled into shared
-//! coordinate/pivot/cell arenas. The probe walks that flat layout with an
-//! explicit traversal stack ([`ProbeScratch`]); the reference pointer-rich
-//! encoding survives as [`crate::pointer::PointerTrie`] for parity tests
-//! and memory-density comparisons.
+//! contiguous arena of fixed-width node records, and all member
+//! trajectories pooled into shared coordinate/pivot/cell arenas. The build
+//! numbers both from the tree: siblings get consecutive node ids, and local
+//! ids are handed out in the order in which nodes own members
+//! ([`build_pending`]), so a record addresses its children and its members
+//! as two ranges and a leaf's members lie next to each other in every
+//! arena. The local id of a trajectory is therefore a property of the
+//! tree, not of the build input's order; nothing above this crate may
+//! assume otherwise. The probe walks that flat layout with an explicit
+//! traversal stack ([`ProbeScratch`]); the reference pointer-rich encoding
+//! survives as [`crate::pointer::PointerTrie`] for parity tests and
+//! memory-density comparisons.
 //!
 //! The filter search walks the trie depth-first, accumulating the per-level
 //! `MinDist` into the threshold budget (§5.3.1) with the ordered-suffix
 //! optimization of §5.3.2 (Lemma 5.1). Budget semantics follow the distance
 //! function (Appendix A): DTW/ERP subtract, Fréchet compares each level to
-//! the constant τ, EDR/LCSS count edits.
+//! the constant τ, EDR/LCSS count edits. The ordered-suffix scan itself —
+//! over a node's MBR on pivot levels, over a member's own pivots at the
+//! leaf — is one function, [`suffix_scan`], streaming the query's
+//! coordinates from two contiguous arrays the probe fills once.
 
 use crate::flat::{EntryRef, FlatNodes, TrajStore};
 use crate::partitioner::str_tiles_pub as str_tiles;
@@ -29,6 +38,7 @@ use dita_distance::function::IndexMode;
 use dita_distance::DistanceFunction;
 use dita_trajectory::{CellList, Mbr, Point, SoaPoints, SoaView, Trajectory};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -250,13 +260,16 @@ impl FilterStats {
 }
 
 /// Reusable traversal state for repeated trie probes: the explicit DFS
-/// stack the flat-layout walk runs on. Holding one across calls to
+/// stack the flat-layout walk runs on, and the probing query's coordinates
+/// as two contiguous arrays. Holding one across calls to
 /// [`TrieIndex::candidate_count`] or
 /// [`TrieIndex::candidates_with_scratch`] makes the probe allocation-free
-/// once the stack has grown to its working size.
+/// once the buffers have grown to their working size.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
-    pub(crate) stack: Vec<(u32, f64, usize)>,
+    stack: Vec<(u32, f64, usize)>,
+    qx: Vec<f64>,
+    qy: Vec<f64>,
 }
 
 impl ProbeScratch {
@@ -264,6 +277,92 @@ impl ProbeScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Starts a probe with `q`: empties the stack and copies the query's
+    /// coordinates into the structure-of-arrays buffers, once per probe.
+    pub(crate) fn begin<'a>(
+        &'a mut self,
+        q: &'a [Point],
+    ) -> (&'a mut Vec<(u32, f64, usize)>, ProbeQuery<'a>) {
+        self.stack.clear();
+        self.qx.clear();
+        self.qx.extend(q.iter().map(|p| p.x));
+        self.qy.clear();
+        self.qy.extend(q.iter().map(|p| p.y));
+        let query = ProbeQuery {
+            pts: q,
+            xs: &self.qx,
+            ys: &self.qy,
+        };
+        (&mut self.stack, query)
+    }
+}
+
+/// The query of one probe in both layouts: the caller's points, which the
+/// endpoint levels and the edit-family filters index, and the same
+/// coordinates as two contiguous arrays for [`suffix_scan`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProbeQuery<'a> {
+    pub(crate) pts: &'a [Point],
+    xs: &'a [f64],
+    ys: &'a [f64],
+}
+
+/// Independent running minima [`suffix_scan`] keeps, so the minimum has no
+/// loop-carried chain and the compiler can hold the lanes in vector
+/// registers.
+const LANES: usize = 4;
+
+/// The ordered-suffix scan of Lemma 5.1 (§5.3.2): over the query points
+/// `q[suffix..]`, the smallest `dist_sq(x, y)` — the squared distance of a
+/// query point to the target, a node's MBR on pivot levels or a member's
+/// own pivot point at the leaf — and the first index whose squared distance
+/// is within `budget_sq`: the points before it cannot host this pivot
+/// within the budget, so they are discarded for the deeper pivots too. When
+/// no point qualifies the anchor stays at `suffix`.
+///
+/// Two phases. The minimum runs over all of the suffix branch-free, one
+/// running minimum per lane, over contiguous coordinates. The anchor is
+/// looked for afterwards, by a rescan that stops at the first hit (a few
+/// elements in), and only when the minimum shows there is one — otherwise
+/// the level is pruned and nobody reads it. The callers pass the very
+/// functions the one-pass scalar loops called per element
+/// ([`Mbr::min_dist_point_sq`], [`Point::dist_sq`]), comparisons treat a
+/// NaN as those loops did (never smaller, never within budget), and the
+/// minimum of the remaining values does not depend on the order they are
+/// folded in — so both results are those loops' bit for bit (they are kept
+/// as the reference in this module's tests).
+#[inline]
+pub(crate) fn suffix_scan(
+    q: &ProbeQuery<'_>,
+    suffix: usize,
+    budget_sq: f64,
+    dist_sq: impl Fn(f64, f64) -> f64,
+) -> (f64, usize) {
+    let (xs, ys) = (&q.xs[suffix..], &q.ys[suffix..]);
+    let smaller = |d: f64, best: f64| if d < best { d } else { best };
+
+    let mut lanes = [f64::INFINITY; LANES];
+    let (mut cx, mut cy) = (xs.chunks_exact(LANES), ys.chunks_exact(LANES));
+    for (x, y) in cx.by_ref().zip(cy.by_ref()) {
+        for l in 0..LANES {
+            lanes[l] = smaller(dist_sq(x[l], y[l]), lanes[l]);
+        }
+    }
+    let mut best_sq = lanes.into_iter().fold(f64::INFINITY, smaller);
+    for (&x, &y) in cx.remainder().iter().zip(cy.remainder()) {
+        best_sq = smaller(dist_sq(x, y), best_sq);
+    }
+
+    let first_ok = if best_sq <= budget_sq {
+        xs.iter()
+            .zip(ys)
+            .position(|(&x, &y)| dist_sq(x, y) <= budget_sq)
+            .map_or(suffix, |j| suffix + j)
+    } else {
+        suffix
+    };
+    (best_sq, first_ok)
 }
 
 /// The scratch [`TrieIndex::candidates_batch`] takes. The batch is a loop
@@ -318,56 +417,24 @@ impl Walk {
     }
 }
 
-/// Evaluates one node's payload against the query; if the node survives
-/// its level check it is pushed with its updated budget and suffix.
-/// Prunes are recorded into `stats` under the stage that caused them.
+/// Evaluates one node's payload against the query: the EDR
+/// length-interval prune, the per-level MinDist (with the Lemma 5.1
+/// ordered-suffix scan on pivot levels) and the per-walk budget update.
+/// Returns the `(budget, suffix)` to carry into the subtree — the caller
+/// pushes the node with them — or `None` when the node is pruned for this
+/// query. Prunes are recorded into `stats` under the stage that caused
+/// them.
 ///
 /// Shared by the flat probe and the reference
 /// [`crate::pointer::PointerTrie`] probe, so the two layouts differ only
 /// in encoding, never in pruning decisions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn visit_node(
-    node_id: u32,
-    mbr: &Mbr,
-    depth: u8,
-    node_min_len: u32,
-    node_max_len: u32,
-    q: &[Point],
-    tau: f64,
-    budget: f64,
-    suffix: usize,
-    walk: &Walk,
-    stats: &mut FilterStats,
-    stack: &mut Vec<(u32, f64, usize)>,
-) {
-    if let Some((new_budget, new_suffix)) = node_admits(
-        mbr,
-        depth,
-        node_min_len,
-        node_max_len,
-        q,
-        tau,
-        budget,
-        suffix,
-        walk,
-        stats,
-    ) {
-        stack.push((node_id, new_budget, new_suffix));
-    }
-}
-
-/// The node-level admission predicate behind [`visit_node`]: the EDR
-/// length-interval prune, the per-level MinDist (with the Lemma 5.1
-/// ordered-suffix scan on pivot levels) and the per-walk budget update.
-/// Returns the `(budget, suffix)` to carry into the subtree, or `None`
-/// when the node is pruned for this query.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn node_admits(
     mbr: &Mbr,
     depth: u8,
     node_min_len: u32,
     node_max_len: u32,
-    q: &[Point],
+    query: &ProbeQuery<'_>,
     tau: f64,
     budget: f64,
     suffix: usize,
@@ -375,6 +442,7 @@ pub(crate) fn node_admits(
     stats: &mut FilterStats,
 ) -> Option<(f64, usize)> {
     stats.nodes_visited += 1;
+    let q = query.pts;
     let n = q.len();
     // EDR length filter (Appendix A): every member of this subtree has
     // length in [min_len, max_len]; prune when |m − n| > τ holds for the
@@ -401,27 +469,11 @@ pub(crate) fn node_admits(
             (d, 0)
         }
         (_, Walk::Additive | Walk::Max) => {
-            // Pivot level: ordered-suffix scan (Lemma 5.1). Points of the
-            // suffix that cannot host this pivot within the current
-            // budget can be discarded for the deeper pivots too.
-            let mut best_sq = f64::INFINITY;
-            let mut first_ok = None;
-            let budget_sq = budget * budget;
-            for (j, p) in q.iter().enumerate().skip(suffix) {
-                let dsq = mbr.min_dist_point_sq(p);
-                if dsq < best_sq {
-                    best_sq = dsq;
-                }
-                if first_ok.is_none() && dsq <= budget_sq {
-                    first_ok = Some(j);
-                }
-                // The minimum cannot improve further and the suffix
-                // anchor is fixed: stop scanning.
-                if best_sq == 0.0 && first_ok.is_some() {
-                    break;
-                }
-            }
-            (best_sq.sqrt(), first_ok.unwrap_or(suffix))
+            // Pivot level: ordered-suffix scan (Lemma 5.1).
+            let (best_sq, first_ok) = suffix_scan(query, suffix, budget * budget, |x, y| {
+                mbr.min_dist_point_sq(&Point::new(x, y))
+            });
+            (best_sq.sqrt(), first_ok)
         }
     };
 
@@ -467,18 +519,20 @@ pub(crate) fn node_admits(
 /// Lemma 5.1 under Additive/Max budgets, or the edit-family bound under
 /// [`Walk::Edit`]. Sound: the tested bound never exceeds `f(T, Q)`.
 ///
-/// Layout-agnostic (slices + an iterator of pivot positions), shared by
-/// the flat and pointer probes.
-pub(crate) fn member_admits<I: Iterator<Item = usize>>(
-    q: &[Point],
+/// Layout-agnostic, shared by the flat and pointer probes. The
+/// Additive/Max walks read nothing of the member but its indexing points;
+/// what only the edit family needs — length, pivot positions, coordinates —
+/// comes from `edit_parts`, called on that arm alone, so a DTW or Fréchet
+/// probe touches one arena per member.
+pub(crate) fn member_admits<'m, I: Iterator<Item = usize>>(
+    query: &ProbeQuery<'_>,
     tau: f64,
     walk: &Walk,
-    len: usize,
     index_points: &[Point],
-    pivot_positions: I,
-    soa: SoaView<'_>,
+    edit_parts: impl FnOnce() -> (usize, I, SoaView<'m>),
 ) -> bool {
     let pts = index_points;
+    let q = query.pts;
     let n = q.len();
     match *walk {
         Walk::Additive => {
@@ -495,26 +549,14 @@ pub(crate) fn member_admits<I: Iterator<Item = usize>>(
             // Ordered suffix scan over the pivots.
             let mut suffix = 0usize;
             for p in &pts[2.min(pts.len())..] {
-                let mut best_sq = f64::INFINITY;
-                let mut first_ok = None;
-                let budget_sq = budget * budget;
-                for (j, qj) in q.iter().enumerate().skip(suffix) {
-                    let d = p.dist_sq(qj);
-                    if d < best_sq {
-                        best_sq = d;
-                    }
-                    if first_ok.is_none() && d <= budget_sq {
-                        first_ok = Some(j);
-                    }
-                    if best_sq == 0.0 && first_ok.is_some() {
-                        break;
-                    }
-                }
+                let (best_sq, first_ok) = suffix_scan(query, suffix, budget * budget, |x, y| {
+                    p.dist_sq(&Point::new(x, y))
+                });
                 budget -= best_sq.sqrt();
                 if budget < 0.0 {
                     return false;
                 }
-                suffix = first_ok.unwrap_or(suffix);
+                suffix = first_ok;
             }
             true
         }
@@ -528,25 +570,17 @@ pub(crate) fn member_admits<I: Iterator<Item = usize>>(
             let tau_sq = tau * tau;
             let mut suffix = 0usize;
             for p in &pts[2.min(pts.len())..] {
-                let mut best_sq = f64::INFINITY;
-                let mut first_ok = None;
-                for (j, qj) in q.iter().enumerate().skip(suffix) {
-                    let d = p.dist_sq(qj);
-                    if d < best_sq {
-                        best_sq = d;
-                    }
-                    if first_ok.is_none() && d <= tau_sq {
-                        first_ok = Some(j);
-                    }
-                }
+                let (best_sq, first_ok) =
+                    suffix_scan(query, suffix, tau_sq, |x, y| p.dist_sq(&Point::new(x, y)));
                 if best_sq > tau_sq {
                     return false;
                 }
-                suffix = first_ok.unwrap_or(suffix);
+                suffix = first_ok;
             }
             true
         }
         Walk::Edit { eps, delta, .. } => {
+            let (len, pivot_positions, soa) = edit_parts();
             edit_family_admits(q, tau, eps, delta, len, pts, pivot_positions, soa)
         }
     }
@@ -643,12 +677,13 @@ pub(crate) fn edit_family_admits<I: Iterator<Item = usize>>(
 
 /// The local trie index of one partition, in the succinct flat encoding:
 /// a [`FlatNodes`] arena for the tree and a [`TrajStore`] pooling every
-/// member's data.
+/// member's data in the tree's leaf order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrieIndex {
     config: TrieConfig,
     nodes: FlatNodes,
-    roots: Vec<u32>,
+    /// Number of root nodes; they are the records `0..roots`.
+    roots: u32,
     store: TrajStore,
 }
 
@@ -667,14 +702,19 @@ pub(crate) struct TileSpec {
 }
 
 /// A fully built subtree in owned form. Subtrees are constructed
-/// independently (possibly on different threads) and flattened into the
-/// node arena afterwards in tile order, which makes the arena layout — and
-/// therefore the serialized index — independent of the thread count.
+/// independently (possibly on different threads), then numbered and
+/// flattened into the node arena serially in tile order, which makes the
+/// arena layout — and therefore the serialized index — independent of the
+/// thread count.
 pub(crate) struct PendingNode {
     pub(crate) mbr: Mbr,
     pub(crate) depth: u8,
     pub(crate) children: Vec<PendingNode>,
-    pub(crate) members: Vec<u32>,
+    /// The members stored at this node as positions in the build input —
+    /// what [`build_subtree`] leaves here and [`cluster_members`] drains.
+    stored: Vec<u32>,
+    /// The members stored at this node as local ids: one ascending run.
+    pub(crate) members: Range<u32>,
     pub(crate) max_len: u32,
     pub(crate) min_len: u32,
 }
@@ -761,43 +801,53 @@ pub(crate) fn build_subtree(
         mbr: spec.mbr,
         depth: spec.depth,
         children,
-        members: spec.node_members,
+        stored: spec.node_members,
+        members: 0..0,
         max_len: spec.max_len,
         min_len: spec.min_len,
     }
 }
 
-/// Tallies the arena sizes a pending subtree will need, so the flat arrays
-/// can be allocated exactly once with exact capacities.
-fn count_pending(p: &PendingNode, recs: &mut usize, children: &mut usize, members: &mut usize) {
-    *recs += 1;
-    *children += p.children.len();
-    *members += p.members.len();
-    for c in &p.children {
-        count_pending(c, recs, children, members);
+/// Hands out the local ids: `order[i]` becomes the build-input position of
+/// the member with local id `i`. Ids follow the order in which nodes own
+/// members — a sibling run's own members node by node, then each sibling's
+/// subtree depth first, which is the order [`flatten`] numbers the nodes
+/// in — so every node's members are one ascending run, sibling leaves'
+/// runs are adjacent, and the runs tile `0..len` in node order. A function
+/// of the pending tree alone, so of the input and the configuration, never
+/// of thread timing.
+fn cluster_members(level: &mut [PendingNode], order: &mut Vec<u32>) {
+    for node in level.iter_mut() {
+        let first = order.len() as u32;
+        order.extend(std::mem::take(&mut node.stored));
+        node.members = first..order.len() as u32;
+    }
+    for node in level {
+        cluster_members(&mut node.children, order);
     }
 }
 
-/// Flattens a pending subtree into the node arena in DFS preorder (parent
-/// before its subtree, siblings in tile order) — exactly the order the old
-/// serial recursion produced — and returns the root's node id. Serial by
-/// construction, so the arena bytes cannot depend on the build thread
-/// count.
-fn flatten(nodes: &mut FlatNodes, pending: PendingNode) -> u32 {
-    let id = nodes.push(
-        pending.mbr,
-        pending.depth,
-        pending.min_len,
-        pending.max_len,
-        &pending.members,
-    );
-    let kids: Vec<u32> = pending
-        .children
-        .into_iter()
-        .map(|c| flatten(nodes, c))
-        .collect();
-    nodes.set_children(id, &kids);
-    id
+/// Number of node records a run of pending subtrees will need, so the
+/// arena can be allocated once with its exact capacity.
+fn count_pending(level: &[PendingNode]) -> usize {
+    level.iter().map(|p| 1 + count_pending(&p.children)).sum()
+}
+
+/// Flattens a run of pending siblings into the node arena — the siblings
+/// as consecutive records, then each one's subtree depth first, in tile
+/// order — and returns the run's node ids. Serial by construction, so the
+/// arena bytes cannot depend on the build thread count.
+fn flatten(nodes: &mut FlatNodes, level: Vec<PendingNode>) -> Range<u32> {
+    let first = nodes.len() as u32;
+    for p in &level {
+        nodes.push(p.mbr, p.depth, p.min_len, p.max_len, p.members.clone());
+    }
+    let ids = first..nodes.len() as u32;
+    for (id, p) in ids.clone().zip(level) {
+        let kids = flatten(nodes, p.children);
+        nodes.set_children(id, kids);
+    }
+    ids
 }
 
 impl TrieIndex {
@@ -813,17 +863,10 @@ impl TrieIndex {
     /// simulated cost model sees the work, not the host parallelism — the
     /// same contract as `verify_threads`.
     pub fn build_timed(trajectories: Vec<Trajectory>, config: TrieConfig) -> (Self, Duration) {
-        let (data, pending, helper) = build_pending(trajectories, &config);
-        let (mut recs, mut kids, mut mems) = (0usize, 0usize, 0usize);
-        for p in &pending {
-            count_pending(p, &mut recs, &mut kids, &mut mems);
-        }
-        let mut nodes = FlatNodes::with_capacity(recs, kids, mems);
-        let roots: Vec<u32> = pending
-            .into_iter()
-            .map(|p| flatten(&mut nodes, p))
-            .collect();
-        let store = TrajStore::from_indexed(data, config.cell_side);
+        let (data, order, pending, helper) = build_pending(trajectories, &config);
+        let mut nodes = FlatNodes::with_capacity(count_pending(&pending));
+        let roots = flatten(&mut nodes, pending).end;
+        let store = TrajStore::from_indexed(data, &order, config.cell_side);
         let index = TrieIndex {
             config,
             nodes,
@@ -868,7 +911,8 @@ impl TrieIndex {
         self.store.try_entry(id as usize)
     }
 
-    /// Iterates over all stored trajectories in local-id order.
+    /// Iterates over all stored trajectories in local-id order — the
+    /// tree's leaf order, not the build input's.
     pub fn entries(&self) -> impl Iterator<Item = EntryRef<'_>> {
         self.store.iter()
     }
@@ -882,16 +926,12 @@ impl TrieIndex {
     /// is real memory), *excluding* the raw trajectory payload itself
     /// (reported separately in the Table 5 experiment).
     pub fn index_size_bytes(&self) -> usize {
-        self.nodes.size_bytes()
-            + self.roots.capacity() * std::mem::size_of::<u32>()
-            + (self.store.size_bytes() - self.store.data_bytes())
+        self.nodes.size_bytes() + (self.store.size_bytes() - self.store.data_bytes())
     }
 
     /// Total allocated size including the clustered trajectory payload.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.size_bytes()
-            + self.roots.capacity() * std::mem::size_of::<u32>()
-            + self.store.size_bytes()
+        self.nodes.size_bytes() + self.store.size_bytes()
     }
 
     /// The filter step (Algorithm 2's `DITA-Search-Filter`): local ids of
@@ -925,9 +965,7 @@ impl TrieIndex {
     ) -> (Vec<u32>, FilterStats) {
         let mut stats = FilterStats::default();
         let mut out = Vec::new();
-        self.probe(q, tau, func, &mut stats, &mut scratch.stack, |m| {
-            out.push(m)
-        });
+        self.probe(q, tau, func, &mut stats, scratch, |m| out.push(m));
         out.sort_unstable();
         out.dedup();
         (out, stats)
@@ -947,7 +985,7 @@ impl TrieIndex {
     ) -> usize {
         let mut stats = FilterStats::default();
         let mut count = 0usize;
-        self.probe(q, tau, func, &mut stats, &mut scratch.stack, |_| count += 1);
+        self.probe(q, tau, func, &mut stats, scratch, |_| count += 1);
         count
     }
 
@@ -981,10 +1019,10 @@ impl TrieIndex {
         tau: f64,
         func: &DistanceFunction,
         stats: &mut FilterStats,
-        stack: &mut Vec<(u32, f64, usize)>,
+        scratch: &mut ProbeScratch,
         mut emit: F,
     ) {
-        stack.clear();
+        let (stack, query) = scratch.begin(q);
         if q.is_empty() || tau < 0.0 {
             return;
         }
@@ -997,26 +1035,33 @@ impl TrieIndex {
             return;
         };
         let edr = walk.is_edr();
-        for &r in &self.roots {
-            let rec = self.nodes.rec(r);
-            visit_node(
-                r,
-                &rec.mbr,
-                rec.depth,
-                rec.min_len,
-                rec.max_len,
-                q,
-                tau,
-                tau,
-                0,
-                &walk,
-                stats,
-                stack,
-            );
-        }
-        while let Some((node_id, budget, suffix)) = stack.pop() {
-            let rec = *self.nodes.rec(node_id);
-            for &m in self.nodes.members(&rec) {
+        // The run of siblings to admit next, with the budget and suffix
+        // their parent hands down: the roots first, then the children of
+        // every node popped.
+        let mut level = (0..self.roots, tau, 0usize);
+        loop {
+            let (ids, budget, suffix) = level;
+            for (id, rec) in ids.clone().zip(self.nodes.recs(ids)) {
+                if let Some((budget, suffix)) = node_admits(
+                    &rec.mbr,
+                    rec.depth,
+                    rec.min_len,
+                    rec.max_len,
+                    &query,
+                    tau,
+                    budget,
+                    suffix,
+                    &walk,
+                    stats,
+                ) {
+                    stack.push((id, budget, suffix));
+                }
+            }
+            let Some((node_id, budget, suffix)) = stack.pop() else {
+                return;
+            };
+            let rec = self.nodes.rec(node_id);
+            for m in rec.members() {
                 // Leaf emission runs the exact per-trajectory OPAMD filter
                 // (Lemma 5.1) over the member's own indexing points — the
                 // node MBRs above only bounded groups.
@@ -1026,38 +1071,16 @@ impl TrieIndex {
                     stats.members_pruned_length += 1;
                     continue;
                 }
-                let admits = member_admits(
-                    q,
-                    tau,
-                    &walk,
-                    e.len(),
-                    e.index_points(),
-                    e.pivots().iter().map(|&p| p as usize),
-                    e.soa(),
-                );
+                let admits = member_admits(&query, tau, &walk, e.index_points(), || {
+                    (e.len(), e.pivots().iter().map(|&p| p as usize), e.soa())
+                });
                 if admits {
                     emit(m);
                 } else {
                     stats.members_pruned_opamd += 1;
                 }
             }
-            for &c in self.nodes.children(&rec) {
-                let crec = self.nodes.rec(c);
-                visit_node(
-                    c,
-                    &crec.mbr,
-                    crec.depth,
-                    crec.min_len,
-                    crec.max_len,
-                    q,
-                    tau,
-                    budget,
-                    suffix,
-                    &walk,
-                    stats,
-                    stack,
-                );
-            }
+            level = (rec.children(), budget, suffix);
         }
     }
 }
@@ -1065,15 +1088,18 @@ impl TrieIndex {
 /// The layout-independent first half of a trie build: parallel
 /// per-trajectory preprocessing into order-preserving slots, then root-tile
 /// splitting with per-tile subtree construction (parallel when a pool
-/// exists). Returns the preprocessed members, the pending subtrees in tile
-/// order and the helper-thread CPU time to charge back.
+/// exists), then the serial pass that hands out the local ids
+/// ([`cluster_members`]). Returns the preprocessed members in input order,
+/// the order vector (`order[i]` is the input position of local id `i`), the
+/// pending subtrees in tile order with their members as local ids, and the
+/// helper-thread CPU time to charge back.
 ///
 /// Shared with [`crate::pointer::PointerTrie`] so both encodings flatten
-/// the *same* deterministic tree.
+/// the *same* deterministic tree with the *same* local ids.
 pub(crate) fn build_pending(
     trajectories: Vec<Trajectory>,
     config: &TrieConfig,
-) -> (Vec<IndexedTrajectory>, Vec<PendingNode>, Duration) {
+) -> (Vec<IndexedTrajectory>, Vec<u32>, Vec<PendingNode>, Duration) {
     let threads = config.build_threads.max(1);
     let pool = if threads > 1 && trajectories.len() > 1 {
         rayon::ThreadPoolBuilder::new()
@@ -1145,7 +1171,7 @@ pub(crate) fn build_pending(
     // cycle exactly once) and flattened into the arena in tile order.
     let all: Vec<usize> = (0..data.len()).collect();
     let root_tiles = split_tiles(&data, config, all, 1);
-    let pending: Vec<PendingNode> = match &pool {
+    let mut pending: Vec<PendingNode> = match &pool {
         None => root_tiles
             .into_iter()
             .map(|t| build_subtree(&data, config, t))
@@ -1171,8 +1197,11 @@ pub(crate) fn build_pending(
                 .collect()
         }
     };
+    let mut order = Vec::with_capacity(data.len());
+    cluster_members(&mut pending, &mut order);
     (
         data,
+        order,
         pending,
         Duration::from_nanos(helper_ns.load(Ordering::Relaxed)),
     )
@@ -1182,6 +1211,7 @@ pub(crate) fn build_pending(
 mod tests {
     use super::*;
     use dita_trajectory::trajectory::figure1_trajectories;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn fig1_index(nl: usize, k: usize) -> TrieIndex {
         TrieIndex::build(
@@ -1454,6 +1484,212 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// xorshift64* random walks over a [0, 8]² region, ids `1..=n`.
+    fn seeded_rows(n: usize, seed: u64) -> Vec<Trajectory> {
+        let mut state = seed | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|i| {
+                let len = 1 + (unit() * 40.0) as usize;
+                let (mut x, mut y) = (unit() * 8.0, unit() * 8.0);
+                let pts = (0..len)
+                    .map(|_| {
+                        let p = Point::new(x, y);
+                        x += (unit() - 0.5) * 0.6;
+                        y += (unit() - 0.5) * 0.6;
+                        p
+                    })
+                    .collect();
+                Trajectory::new(i as u64 + 1, pts)
+            })
+            .collect()
+    }
+
+    /// The layout the probe and verification rely on: member runs tile
+    /// `0..len` in node order, children are later consecutive records each
+    /// owned by one parent, and the renumbering lost or duplicated nobody.
+    fn assert_leaf_clustered(index: &TrieIndex, input: &[Trajectory]) {
+        let n_nodes = index.nodes.len() as u32;
+        let mut next_member = 0u32;
+        let mut parents = vec![0usize; n_nodes as usize];
+        let mut stored_ids = Vec::with_capacity(index.len());
+        for id in 0..n_nodes {
+            let rec = index.nodes.rec(id);
+            assert_eq!(rec.members().start, next_member, "node {id}: runs tile");
+            next_member = rec.members().end;
+            for m in rec.members() {
+                let e = index.get(m);
+                // The run really is this node's tile, not just any run.
+                let key = e.index_points()[rec.depth as usize - 1];
+                assert!(rec.mbr.contains_point(&key), "node {id} member {m}");
+                stored_ids.push(e.id());
+            }
+            assert!(rec.children().end <= n_nodes, "node {id}: children exist");
+            for (c, child) in rec.children().zip(index.nodes.recs(rec.children())) {
+                assert!(c > id, "node {id}: children come later");
+                assert_eq!(child.depth, rec.depth + 1);
+                parents[c as usize] += 1;
+            }
+        }
+        assert_eq!(next_member as usize, index.len(), "runs tile 0..len");
+        for (id, &count) in parents.iter().enumerate() {
+            let expected = usize::from(id as u32 >= index.roots);
+            assert_eq!(count, expected, "node {id}: one parent, roots none");
+        }
+        stored_ids.sort_unstable();
+        let mut input_ids: Vec<u64> = input.iter().map(|t| t.id).collect();
+        input_ids.sort_unstable();
+        assert_eq!(stored_ids, input_ids, "a permutation of the input");
+    }
+
+    #[test]
+    fn store_is_leaf_clustered_and_nodes_are_range_addressed() {
+        let fig1 = figure1_trajectories();
+        for (nl, k) in [(2, 2), (2, 0), (3, 3)] {
+            assert_leaf_clustered(&fig1_index(nl, k), &fig1);
+        }
+        let rows = seeded_rows(2000, 0x5eed_1901);
+        for (leaf_capacity, build_threads) in [(16, 1), (16, 4), (0, 1), (3, 2)] {
+            let config = TrieConfig {
+                k: 4,
+                nl: 8,
+                leaf_capacity,
+                build_threads,
+                ..TrieConfig::default()
+            };
+            assert_leaf_clustered(&TrieIndex::build(rows.clone(), config), &rows);
+        }
+    }
+
+    /// The retired one-pass Lemma 5.1 loop over a node MBR, as
+    /// `node_admits` carried it: the reference [`suffix_scan`] is held to.
+    fn scalar_scan_mbr(q: &[Point], suffix: usize, mbr: &Mbr, budget_sq: f64) -> (f64, usize) {
+        let mut best_sq = f64::INFINITY;
+        let mut first_ok = None;
+        for (j, p) in q.iter().enumerate().skip(suffix) {
+            let dsq = mbr.min_dist_point_sq(p);
+            if dsq < best_sq {
+                best_sq = dsq;
+            }
+            if first_ok.is_none() && dsq <= budget_sq {
+                first_ok = Some(j);
+            }
+            if best_sq == 0.0 && first_ok.is_some() {
+                break;
+            }
+        }
+        (best_sq, first_ok.unwrap_or(suffix))
+    }
+
+    /// The retired loop over a member's pivot point, as `member_admits`
+    /// carried it twice: the `Additive` arm stopped early once the minimum
+    /// was zero and the anchor fixed, the `Max` arm never did.
+    fn scalar_scan_point(
+        q: &[Point],
+        suffix: usize,
+        p: &Point,
+        budget_sq: f64,
+        early_stop: bool,
+    ) -> (f64, usize) {
+        let mut best_sq = f64::INFINITY;
+        let mut first_ok = None;
+        for (j, qj) in q.iter().enumerate().skip(suffix) {
+            let d = p.dist_sq(qj);
+            if d < best_sq {
+                best_sq = d;
+            }
+            if first_ok.is_none() && d <= budget_sq {
+                first_ok = Some(j);
+            }
+            if early_stop && best_sq == 0.0 && first_ok.is_some() {
+                break;
+            }
+        }
+        (best_sq, first_ok.unwrap_or(suffix))
+    }
+
+    /// Budgets on both sides of the suffix minimum, the minimum itself,
+    /// and the two ends of the range.
+    fn budgets_around(best_sq: f64) -> [f64; 7] {
+        [
+            0.0,
+            best_sq * 0.5,
+            f64::from_bits(best_sq.to_bits().saturating_sub(1)),
+            best_sq,
+            best_sq * 1.5 + 1e-9,
+            best_sq * 40.0 + 1.0,
+            f64::INFINITY,
+        ]
+    }
+
+    fn assert_same_scan(got: (f64, usize), want: (f64, usize), what: &str) {
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: best_sq bits");
+        assert_eq!(got.1, want.1, "{what}: first_ok");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// [`suffix_scan`] returns the retired scalar loops' `best_sq` bit
+        /// for bit and their `first_ok`, for a node's rectangle and for a
+        /// member's point, at every suffix (the empty one included), for
+        /// query lengths on and off the lane count, for budgets that find
+        /// an anchor and budgets that do not, and for a target lying on a
+        /// query point.
+        #[test]
+        fn suffix_scan_matches_the_retired_scalar_loops(
+            coords in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..71),
+            corner in (-20.0f64..20.0, -20.0f64..20.0),
+            extent in (0.0f64..6.0, 0.0f64..6.0),
+            on_point in 0usize..70,
+        ) {
+            let q: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let n = q.len();
+            let lo = Point::new(corner.0, corner.1);
+            let mbr = Mbr { min: lo, max: Point::new(lo.x + extent.0, lo.y + extent.1) };
+            // A pivot somewhere, and one coinciding with a query point.
+            let pivots = [lo, q[on_point % n]];
+            let mut scratch = ProbeScratch::new();
+            let (_, query) = scratch.begin(&q);
+            for suffix in 0..=n {
+                let (min_sq, _) = scalar_scan_mbr(&q, suffix, &mbr, 0.0);
+                for budget_sq in budgets_around(min_sq) {
+                    assert_same_scan(
+                        suffix_scan(&query, suffix, budget_sq, |x, y| {
+                            mbr.min_dist_point_sq(&Point::new(x, y))
+                        }),
+                        scalar_scan_mbr(&q, suffix, &mbr, budget_sq),
+                        &format!("mbr n={n} suffix={suffix} budget_sq={budget_sq}"),
+                    );
+                }
+                for p in &pivots {
+                    let (min_sq, _) = scalar_scan_point(&q, suffix, p, 0.0, false);
+                    for budget_sq in budgets_around(min_sq) {
+                        let got = suffix_scan(&query, suffix, budget_sq, |x, y| {
+                            p.dist_sq(&Point::new(x, y))
+                        });
+                        let what = format!("point n={n} suffix={suffix} budget_sq={budget_sq}");
+                        for early_stop in [false, true] {
+                            let want = scalar_scan_point(&q, suffix, p, budget_sq, early_stop);
+                            assert_same_scan(got, want, &what);
+                        }
+                    }
+                }
+            }
+            // The coinciding pivot does reach zero on the suffixes that
+            // still hold its point.
+            let at = on_point % n;
+            let on_it = suffix_scan(&query, 0, 0.0, |x, y| q[at].dist_sq(&Point::new(x, y)));
+            prop_assert_eq!(on_it.0, 0.0);
+            prop_assert!(on_it.1 <= at);
         }
     }
 

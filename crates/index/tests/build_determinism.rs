@@ -180,8 +180,12 @@ fn parallel_partitioning_matches_serial() {
 fn cached_size_bytes_matches_recomputation() {
     let ts = random_trajectories(40, 0x5eed_6006);
     let index = TrieIndex::build(ts.clone(), configs()[1]);
-    for (i, t) in ts.iter().enumerate() {
-        let e = index.get(i as u32);
+    assert_eq!(index.len(), ts.len());
+    // Local ids follow the trie's leaf order, not the input's: match each
+    // entry to its source row by trajectory id (`random_trajectories`
+    // numbers row `i` as `i + 1`).
+    for e in index.entries() {
+        let t = &ts[e.id() as usize - 1];
         assert_eq!(e.size_bytes(), e.to_trajectory().size_bytes());
         assert_eq!(e.size_bytes(), t.size_bytes());
     }

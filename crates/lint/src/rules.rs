@@ -55,7 +55,7 @@ const TRIE_HOT_FNS: &[&str] = &[
     "edit_family_admits",
     "member_admits",
     "visit",
-    "visit_node",
+    "suffix_scan",
     "get",
     "try_get",
 ];

@@ -72,8 +72,8 @@ pub const JOIN_EDGES_WEIGHTED_TOTAL: &str = "dita_join_edges_weighted_total";
 /// Wall time per partition trie build (initial build and compaction
 /// rebuilds).
 pub const INDEX_BUILD_SECONDS: &str = "dita_index_build_seconds";
-/// Resident bytes of the local index structures (flat node arenas, CSR
-/// arrays and store metadata; trajectory payload excluded), summed over
+/// Resident bytes of the local index structures (flat node arenas and
+/// store metadata; trajectory payload excluded), summed over
 /// all partition tries. Refreshed after index build and after compaction.
 pub const INDEX_BYTES: &str = "dita_index_bytes";
 

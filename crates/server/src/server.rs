@@ -766,19 +766,42 @@ fn bad(msg: impl Into<String>) -> ErrorBody {
     ErrorBody::new(400, msg)
 }
 
-fn parse_points(v: &Value, key: &str) -> Result<Vec<Point>, ErrorBody> {
-    let raw: Vec<Vec<f64>> = v.req(key).map_err(|e| bad(format!("field `{key}`: {e}")))?;
+/// A finite JSON number. Not through `FromJson for f64`: that reads `null`
+/// as 0.0 (the library's own spelling of a non-finite value it wrote), and
+/// the number parser turns `1e999` into an infinity — neither is a
+/// coordinate or a threshold a client sent.
+fn finite(v: &Value) -> Option<f64> {
+    match v {
+        Value::Num(n) if n.is_finite() => Some(*n),
+        _ => None,
+    }
+}
+
+/// The point list `v[key]`; `path` is how error messages name it.
+fn parse_points(v: &Value, key: &str, path: &str) -> Result<Vec<Point>, ErrorBody> {
+    let raw = match v.get(key) {
+        Some(Value::Arr(raw)) if !raw.is_empty() => raw,
+        _ => return Err(bad(format!("`{path}` must be a non-empty point list"))),
+    };
     let mut points = Vec::with_capacity(raw.len());
     for (i, pair) in raw.iter().enumerate() {
-        match pair.as_slice() {
-            [x, y] => points.push(Point { x: *x, y: *y }),
-            _ => return Err(bad(format!("`{key}[{i}]` must be a two-element [x, y]"))),
+        let xy = match pair {
+            Value::Arr(xy) if xy.len() == 2 => xy,
+            _ => return Err(bad(format!("`{path}[{i}]` must be a two-element [x, y]"))),
+        };
+        match (finite(&xy[0]), finite(&xy[1])) {
+            (Some(x), Some(y)) => points.push(Point { x, y }),
+            _ => return Err(bad(format!("`{path}[{i}]` must hold two finite numbers"))),
         }
     }
-    if points.is_empty() {
-        return Err(bad(format!("`{key}` must be a non-empty point list")));
-    }
     Ok(points)
+}
+
+/// The threshold `v["tau"]`: a finite JSON number.
+fn parse_tau(v: &Value) -> Result<f64, ErrorBody> {
+    v.get("tau")
+        .and_then(finite)
+        .ok_or_else(|| bad("`tau` must be a finite number"))
 }
 
 fn parse_func(v: &Value) -> Result<DistanceFunction, ErrorBody> {
@@ -798,8 +821,8 @@ fn parse_job(path: &str, body: &Value) -> Result<JobKind, ErrorBody> {
     match path {
         "/search" => Ok(JobKind::Search {
             table: req_field(body, "table")?,
-            query: parse_points(body, "query")?,
-            tau: req_field(body, "tau")?,
+            query: parse_points(body, "query", "query")?,
+            tau: parse_tau(body)?,
             func: parse_func(body)?,
         }),
         "/knn" => {
@@ -809,7 +832,7 @@ fn parse_job(path: &str, body: &Value) -> Result<JobKind, ErrorBody> {
             }
             Ok(JobKind::Knn {
                 table: req_field(body, "table")?,
-                query: parse_points(body, "query")?,
+                query: parse_points(body, "query", "query")?,
                 k: k as usize,
                 func: parse_func(body)?,
             })
@@ -817,7 +840,7 @@ fn parse_job(path: &str, body: &Value) -> Result<JobKind, ErrorBody> {
         "/join" => Ok(JobKind::Join {
             left: req_field(body, "left")?,
             right: req_field(body, "right")?,
-            tau: req_field(body, "tau")?,
+            tau: parse_tau(body)?,
             func: parse_func(body)?,
         }),
         "/sql" => {
@@ -837,8 +860,7 @@ fn parse_job(path: &str, body: &Value) -> Result<JobKind, ErrorBody> {
                 let id: TrajectoryId = row
                     .req("id")
                     .map_err(|e| bad(format!("`rows[{i}].id`: {e}")))?;
-                let points = parse_points(row, "points")
-                    .map_err(|e| bad(format!("`rows[{i}]`: {}", err_text(&e))))?;
+                let points = parse_points(row, "points", &format!("rows[{i}].points"))?;
                 rows.push((id, points));
             }
             if rows.is_empty() {
@@ -860,13 +882,6 @@ fn parse_job(path: &str, body: &Value) -> Result<JobKind, ErrorBody> {
             table: req_field(body, "table")?,
         }),
         _ => Err(ErrorBody::new(404, "no such endpoint")),
-    }
-}
-
-fn err_text(e: &ErrorBody) -> String {
-    match e.body.get("error") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => "invalid".into(),
     }
 }
 
@@ -899,10 +914,10 @@ fn price_and_classify(engine: &mut Engine, kind: &JobKind) -> Result<(u64, f64),
         } => {
             engine.ensure_index(table)?;
             let cost = match engine.system(table) {
-                Some(system) if tau.is_finite() => price_query(system, query, *tau, func, None),
-                // An unpriceable threshold is surfaced as a NaN price,
-                // which admission control refuses up front.
-                _ => f64::NAN,
+                Some(system) => price_query(system, query, *tau, func, None),
+                // No index to price against: a NaN price, which admission
+                // control refuses up front.
+                None => f64::NAN,
             };
             Ok((class_of(&format!("search:{table}:{func}")), cost))
         }
@@ -920,20 +935,13 @@ fn price_and_classify(engine: &mut Engine, kind: &JobKind) -> Result<(u64, f64),
             ))
         }
         JobKind::Join {
-            left,
-            right,
-            tau,
-            func,
+            left, right, func, ..
         } => {
             engine.ensure_index(left)?;
             engine.ensure_index(right)?;
             let nl = engine.dataset(left)?.trajectories().len();
             let nr = engine.dataset(right)?.trajectories().len();
-            let cost = if tau.is_finite() {
-                (nl as f64) * (nr as f64)
-            } else {
-                f64::NAN
-            };
+            let cost = (nl as f64) * (nr as f64);
             Ok((class_of(&format!("join:{left}:{right}:{func}")), cost))
         }
         JobKind::Sql { statements } => Ok((class_of("sql"), statements.len() as f64)),
@@ -1170,5 +1178,76 @@ fn run_single(engine: &mut Engine, kind: &JobKind) -> Result<Value, ErrorBody> {
 fn fail_all(jobs: &[Job], err: &SqlError) {
     for job in jobs {
         job.reply.fill(Err(wire::error_of(err)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The 400 message `parse_job` answers `body` with on `path`.
+    fn refusal(path: &str, body: &str) -> String {
+        let body = Value::parse(body).expect("the test bodies are JSON");
+        let err = parse_job(path, &body)
+            .err()
+            .unwrap_or_else(|| panic!("{path} accepted {body:?}"));
+        assert_eq!(err.status, 400);
+        match err.body.get("error") {
+            Some(Value::Str(message)) => message.clone(),
+            other => panic!("no error message: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn null_and_overflowing_numbers_are_not_coordinates() {
+        // `null` would decode as 0.0 and `±1e999` as an infinity: none of
+        // them is a point a client sent, in either axis, in any position.
+        for hole in ["null", "1e999", "-1e999"] {
+            for point in [format!("[{hole},39.9]"), format!("[116.4,{hole}]")] {
+                for path in ["/search", "/knn"] {
+                    let body =
+                        format!(r#"{{"table":"t","query":[[116.4,39.9],{point}],"tau":1,"k":1}}"#);
+                    let message = refusal(path, &body);
+                    assert!(message.contains("`query[1]`"), "{path} {point}: {message}");
+                }
+                let body = format!(
+                    r#"{{"table":"t","rows":[{{"id":1,"points":[[1,2]]}},{{"id":2,"points":[[1,2],[3,4],{point}]}}]}}"#
+                );
+                let message = refusal("/insert", &body);
+                assert!(
+                    message.contains("`rows[1].points[2]`"),
+                    "{point}: {message}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn null_and_overflowing_numbers_are_not_thresholds() {
+        for hole in ["null", "1e999", "-1e999", "\"3\""] {
+            let search = format!(r#"{{"table":"t","query":[[1,2]],"tau":{hole}}}"#);
+            assert!(refusal("/search", &search).contains("`tau`"), "{hole}");
+            let join = format!(r#"{{"left":"a","right":"b","tau":{hole}}}"#);
+            assert!(refusal("/join", &join).contains("`tau`"), "{hole}");
+        }
+        let missing = r#"{"table":"t","query":[[1,2]]}"#;
+        assert!(refusal("/search", missing).contains("`tau`"));
+    }
+
+    #[test]
+    fn malformed_point_lists_name_the_field() {
+        let cases = [
+            (r#"{"table":"t","tau":1}"#, "`query`"),
+            (r#"{"table":"t","query":[],"tau":1}"#, "`query`"),
+            (r#"{"table":"t","query":7,"tau":1}"#, "`query`"),
+            (r#"{"table":"t","query":[[1,2],[3]],"tau":1}"#, "`query[1]`"),
+            (r#"{"table":"t","query":[[1,2,3]],"tau":1}"#, "`query[0]`"),
+            (r#"{"table":"t","query":[5],"tau":1}"#, "`query[0]`"),
+            (r#"{"table":"t","query":[["1",2]],"tau":1}"#, "`query[0]`"),
+        ];
+        for (body, names) in cases {
+            let message = refusal("/search", body);
+            assert!(message.contains(names), "{body}: {message}");
+        }
     }
 }

@@ -186,9 +186,9 @@ fn routing_health_metrics_and_errors() {
         .0,
         400
     );
-    // A non-finite threshold (1e999 overflows to ∞) is unpriceable:
-    // its NaN cost is refused by admission control with the typed
-    // message, not executed.
+    // A non-finite threshold (1e999 overflows to ∞) is not a threshold:
+    // refused where the request is parsed, naming the field, before it is
+    // priced or executed.
     let (status, body) = post(
         addr,
         "/search",
@@ -196,7 +196,7 @@ fn routing_health_metrics_and_errors() {
     );
     assert_eq!(status, 400);
     assert!(
-        String::from_utf8_lossy(&body).contains("unpriceable"),
+        String::from_utf8_lossy(&body).contains("`tau` must be a finite number"),
         "{}",
         String::from_utf8_lossy(&body)
     );
@@ -363,7 +363,25 @@ fn ingest_write_path_flows_through_http() {
         "{\"table\": \"taxi\", \"rows\": [{\"id\": 10, \"points\": [[NaN,0]]}]}",
     );
     assert_eq!(status, 400);
-    server.shutdown().unwrap();
+    // `null` is not a coordinate either (it used to be stored as x = 0):
+    // a 400 naming the point, and nothing reaches the table.
+    let (status, body) = post(
+        addr,
+        "/insert",
+        "{\"table\": \"taxi\", \"rows\": [{\"id\": 11, \"points\": [[null,39.9],[116.4,39.9]]}]}",
+    );
+    assert_eq!(status, 400);
+    assert!(
+        String::from_utf8_lossy(&body).contains("`rows[0].points[0]`"),
+        "{}",
+        String::from_utf8_lossy(&body)
+    );
+    let engine = server.shutdown().unwrap();
+    assert_eq!(
+        engine.dataset("taxi").unwrap().trajectories().len(),
+        figure1_trajectories().len(),
+        "id 9 came and went; ids 10 and 11 were never stored"
+    );
 }
 
 #[test]

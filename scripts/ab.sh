@@ -7,19 +7,17 @@
 #
 #   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed=1]
 #
-# Both sides are copied into fresh sibling directories under a temporary
-# directory (the parent from `git archive <parent-ref>`, the change from
-# the working tree's tracked and untracked-but-not-ignored files), built
-# there with BENCHMARK.json's own command line, and run with its
-# `run_seconds`. Nothing is written into the repository; the temporary
-# directory (honours TMPDIR) is removed on exit. Prints every run, then per
-# end-to-end metric each side's median and quartiles, the pair wins, the
-# parent's quartile distance, and the verdict against the metric's bound.
+# Both sides are copied out of the repository and built by
+# scripts/sides.sh (fresh directories under TMPDIR, BENCHMARK.json's own
+# command line and `run_seconds`, nothing written into the repository).
+# Prints every run, then per end-to-end metric each side's median and
+# quartiles, the pair wins, the parent's quartile distance, and the
+# verdict against the metric's bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 parent_ref=$1
@@ -27,25 +25,7 @@ workload=$2
 pairs=${3:-10}
 seed=${4:-1}
 
-work=$(mktemp -d "${TMPDIR:-/tmp}/dita-ab.XXXXXX")
-trap 'rm -rf "$work"' EXIT
-mkdir "$work/parent" "$work/change"
-git archive "$parent_ref" | tar -x -C "$work/parent"
-git ls-files -z --cached --others --exclude-standard |
-  while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
-  tar -c --null -T - | tar -x -C "$work/change"
-
-# The driver's command line and run length (the same on both sides: a
-# change that claims a gain may not edit BENCHMARK.json).
-mapfile -t cmd < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
-seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
-bench() { # <side> <benchmark args...>
-  (cd "$work/$1" && CARGO_TARGET_DIR="$work/target-$1" "${cmd[@]}" "${@:2}")
-}
-
-echo "building parent ($parent_ref) and change (working tree) ..." >&2
-bench parent --list >/dev/null
-bench change --list >/dev/null
+source scripts/sides.sh
 
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order="parent change"; else order="change parent"; fi
