@@ -18,17 +18,28 @@
 //! 4. **Local joins** — for each oriented edge, the source's relevant
 //!    trajectories are shipped to the destination's worker and probed
 //!    against the destination's trie index, verifying on the fly.
+//!
+//! **Self-joins.** When both sides are the same [`DitaSystem`] the bi-graph
+//! is its own mirror image — `(T_i, Q_j)` and `(T_j, Q_i)` hold the same
+//! rows — and every supported distance is symmetric to the bit (the DP
+//! tables of `(a, b)` and `(b, a)` are transposes built from the same
+//! operands in the same order). So the plan keeps only the partition pairs
+//! `i ≤ j`, the local join emits every verified pair in both orders, and on
+//! a diagonal edge (`i == j`, one trie on both sides) a shipped row leaves
+//! the candidates before it to those rows' own probes and answers itself
+//! with `0.0`. Planning, shipping and verification run on half the graph;
+//! the result is the two-table path's, triple for triple.
 
 use crate::feedback::CostFeedback;
 use crate::system::DitaSystem;
-use crate::verify::{verify_pair_soa, QueryContext};
+use crate::verify::{verify_views, CandidateView};
 use dita_cluster::JobStats;
 use dita_distance::function::IndexMode;
 use dita_distance::kernel::Scratch;
 use dita_distance::DistanceFunction;
-use dita_index::ProbeScratch;
+use dita_index::{EntryRef, ProbeScratch, TrieIndex};
 use dita_obs::{names, thread_cpu_time};
-use dita_trajectory::{CellList, TrajectoryId};
+use dita_trajectory::{Point, TrajectoryId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -88,15 +99,24 @@ impl Default for JoinOptions {
 }
 
 /// Statistics of one join execution.
+///
+/// A self-join (both sides the same [`DitaSystem`]) plans and runs the
+/// `i ≤ j` half of its symmetric bi-graph: `edges`, `forward_edges`,
+/// `edges_weighed`, `shipped_bytes`, `candidates` and `predicted_tc_global`
+/// describe that half, `results` the full answer.
 #[derive(Debug, Clone)]
 pub struct JoinStats {
-    /// Edges in the partition bi-graph.
+    /// Edges in the partition bi-graph (a self-join: partition pairs
+    /// `i ≤ j` only).
     pub edges: usize,
     /// Edges oriented T→Q after the greedy pass.
     pub forward_edges: usize,
-    /// Total bytes shipped between workers.
+    /// Total bytes shipped between workers (a self-join ships each
+    /// off-diagonal partition pair once, not once per order).
     pub shipped_bytes: u64,
-    /// Candidate pairs examined by local joins.
+    /// Candidate pairs examined by local joins. A self-join examines each
+    /// unordered pair once and counts it once, `(a, a)` included, so this
+    /// can be below `results`, which counts both orders.
     pub candidates: usize,
     /// Result pair count.
     pub results: usize,
@@ -125,7 +145,7 @@ pub struct JoinStats {
     pub job: JobStats,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Edge {
     t_pid: usize,
     q_pid: usize,
@@ -178,19 +198,26 @@ pub fn join(
         .collect();
     // Delta rows on the T side probe the whole Q table, and vice versa; a
     // delta×delta pair is found by both loops with the exact same distance
-    // (symmetry), so the map insert is idempotent.
+    // (symmetry), so the map insert is idempotent. In a self-join the two
+    // loops are the same searches: run them once and mirror the hits.
+    let self_join = std::ptr::eq(t_sys, q_sys);
     t_sys.for_each_delta_live(|t| {
         let (hits, _) = crate::search::search(q_sys, t.points(), tau, func);
         for (qid, d) in hits {
             merged.insert((t.id, qid), d);
+            if self_join {
+                merged.insert((qid, t.id), d);
+            }
         }
     });
-    q_sys.for_each_delta_live(|q| {
-        let (hits, _) = crate::search::search(t_sys, q.points(), tau, func);
-        for (tid, d) in hits {
-            merged.insert((tid, q.id), d);
-        }
-    });
+    if !self_join {
+        q_sys.for_each_delta_live(|q| {
+            let (hits, _) = crate::search::search(t_sys, q.points(), tau, func);
+            for (tid, d) in hits {
+                merged.insert((tid, q.id), d);
+            }
+        });
+    }
     let results: Vec<(TrajectoryId, TrajectoryId, f64)> =
         merged.into_iter().map(|((t, q), d)| (t, q, d)).collect();
     stats.results = results.len();
@@ -313,12 +340,16 @@ fn join_base(
         })
         .collect();
 
+    let self_join = std::ptr::eq(t_sys, q_sys);
+    let self_is_zero = self_distance_is_zero(func);
     let (outputs, job) = cluster.execute_dynamic(tasks, move |(slot, eis): (usize, Vec<usize>)| {
         let mut candidates = 0usize;
         let mut pairs: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
         let mut scratch = Scratch::new();
-        // One probe stack and query buffer for every row this task ships.
-        let mut probe = ProbeScratch::new();
+        // One probe state and one filter → verify buffer for every row
+        // this task ships.
+        let mut probe = RowProbe::default();
+        let mut probes: Vec<(u32, Vec<u32>)> = Vec::new();
         for ei in eis {
             // Nested under the executor's worker task span.
             let e = &edges_ref[ei];
@@ -332,38 +363,48 @@ fn join_base(
             let nslots = replica_counts_ref[dst_node];
             let src_trie = src_sys.trie(src_pid);
             let dst_trie = dst_sys.trie(dst_pid);
+            // One trie on both sides: row `c` probes it too and finds
+            // `(c, sid)` itself, so `sid` keeps only `c ≥ sid`. This holds
+            // per replica slot (every shipped row is probed by exactly one)
+            // and for a `c` that is not shipped (it has no partner here).
+            let diagonal = self_join && src_pid == dst_pid;
             // Filter stage: probe the destination trie with every shipped
             // trajectory, buffering the candidate lists so the verify
             // stage gets its own span (mirroring the search task's
             // filter → verify split for the critical-path analyzer).
-            let mut probes: Vec<(TrajectoryId, QueryContext, Vec<u32>)> = Vec::new();
             {
                 let _fspan = dita_obs::span!(obs, names::SPAN_FILTER, pid = dst_pid);
                 for &sid in shipped.iter().skip(slot).step_by(nslots.max(1)) {
-                    let s = src_trie.get(sid);
-                    // Reuse the shipped trajectory's clustered-index
-                    // artifacts (MBR, cell compression) instead of
-                    // recompressing.
-                    let ctx = QueryContext::from_parts(
-                        s.points_vec(),
-                        *s.mbr(),
-                        CellList::from_cells(s.cells().to_vec(), src_trie.store().cell_side()),
-                    );
-                    let (cands, _) =
-                        dst_trie.candidates_with_scratch(ctx.points(), tau, func, &mut probe);
+                    let mut cands = probe.candidates(src_trie.get(sid), dst_trie, tau, func);
+                    if diagonal {
+                        cands.retain(|&c| c >= sid);
+                    }
                     candidates += cands.len();
-                    probes.push((s.id(), ctx, cands));
+                    probes.push((sid, cands));
                 }
             }
             let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = dst_pid);
-            for (s_id, ctx, cands) in probes {
+            for (sid, cands) in probes.drain(..) {
+                // The shipped row's clustered-index artifacts (MBR, cell
+                // compression, coordinates) are the query, read in place.
+                let s = CandidateView::from(src_trie.get(sid));
                 for c in cands {
-                    let d = dst_trie.get(c);
-                    if let Some(dist) = verify_pair_soa(d.into(), &ctx, tau, func, &mut scratch) {
-                        if e.forward {
-                            pairs.push((s_id, d.id(), dist));
+                    if diagonal && c == sid && self_is_zero {
+                        pairs.push((s.id, s.id, 0.0));
+                        continue;
+                    }
+                    let d = CandidateView::from(dst_trie.get(c));
+                    if let Some(dist) = verify_views(d, s, tau, func, &mut scratch) {
+                        let (t, q) = if e.forward {
+                            (s.id, d.id)
                         } else {
-                            pairs.push((d.id(), s_id, dist));
+                            (d.id, s.id)
+                        };
+                        pairs.push((t, q, dist));
+                        // The mirror edge was never planned: its answer is
+                        // this one transposed, same bits.
+                        if self_join && t != q {
+                            pairs.push((q, t, dist));
                         }
                     }
                 }
@@ -442,10 +483,14 @@ fn join_base(
 /// [`JoinOptions::plan_threads`] threads. Returns the edges, the number of
 /// compatible pairs weighed, and the CPU time burned by helper threads.
 ///
+/// A self-join (`t_sys` and `q_sys` the same system) keeps only the pairs
+/// `t_pid ≤ q_pid`: the dropped half is the kept half transposed, and the
+/// local join emits both orders of what it verifies.
+///
 /// The cheap MBR compatibility screen runs serially (it is O(1) per pair);
 /// the expensive part — `relevant_members` scans and `estimate_comp` trie
 /// probes per surviving pair — is chunked over a scoped pool with one
-/// [`ProbeScratch`] per chunk, results landing in pre-assigned slots so the
+/// [`RowProbe`] per chunk, results landing in pre-assigned slots so the
 /// edge list is identical for every thread count.
 fn build_edges(
     t_sys: &DitaSystem,
@@ -458,10 +503,16 @@ fn build_edges(
     if tau < 0.0 {
         return (Vec::new(), 0, Duration::ZERO);
     }
+    // In a self-join, T-partition p and Q-partition p are the same physical
+    // data under two node ids.
+    let self_join = std::ptr::eq(t_sys, q_sys);
     // --- Compatibility screen (serial, O(1) per pair) ---
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for tp in &t_sys.partitioning().partitions {
         for qp in &q_sys.partitioning().partitions {
+            if self_join && tp.id > qp.id {
+                continue;
+            }
             let df = tp.mbr_first.min_dist_mbr(&qp.mbr_first);
             let dl = tp.mbr_last.min_dist_mbr(&qp.mbr_last);
             let compatible = match mode {
@@ -475,9 +526,10 @@ fn build_edges(
                 }
                 IndexMode::Max => df <= tau && dl <= tau,
                 IndexMode::EditCount { eps, symmetric } => {
-                    // LCSS: the endpoint misses are chargeable only when one
-                    // side is guaranteed the shorter of *every* pair.
-                    if !symmetric && tp.max_len > qp.min_len && qp.max_len > tp.min_len {
+                    // LCSS charges nothing here: the shorter side's first
+                    // point may match any of the other's first δ + 1 points
+                    // for free, and the endpoint MBRs bound only the first.
+                    if !symmetric {
                         true
                     } else {
                         let (f, l) = (usize::from(df > eps), usize::from(dl > eps));
@@ -500,13 +552,12 @@ fn build_edges(
 
     // --- Edge weighting (parallel across pairs) ---
     let nt = t_sys.num_partitions();
-    // In a self-join, T-partition p and Q-partition p are the same physical
-    // data under two node ids; observed-cost factors must pool both ids or
-    // orientation sidesteps an inflated destination via its mirror.
-    let self_join = std::ptr::eq(t_sys, q_sys);
-    let weigh = |&(t_pid, q_pid): &(usize, usize), scratch: &mut ProbeScratch| -> Option<Edge> {
+    let weigh = |&(t_pid, q_pid): &(usize, usize), probe: &mut RowProbe| -> Option<Edge> {
         let tp = &t_sys.partitioning().partitions[t_pid];
         let qp = &q_sys.partitioning().partitions[q_pid];
+        // One partition on both sides: both directions ship the same rows
+        // to the same trie, so one scan and one sample weigh both.
+        let diagonal = self_join && t_pid == q_pid;
         // Exact shipped sets via the opposite side's global index MBRs
         // (the paper's "check whether T has candidates in Q_j by
         // querying the global index of Q").
@@ -519,30 +570,41 @@ fn build_edges(
             tau,
             mode,
         );
-        let ship_q = relevant_members(
-            q_sys,
-            q_pid,
-            &tp.mbr_first,
-            &tp.mbr_last,
-            tp.min_len,
-            tau,
-            mode,
-        );
+        let ship_q = if diagonal {
+            ship_t.clone()
+        } else {
+            relevant_members(
+                q_sys,
+                q_pid,
+                &tp.mbr_first,
+                &tp.mbr_last,
+                tp.min_len,
+                tau,
+                mode,
+            )
+        };
         if ship_t.is_empty() && ship_q.is_empty() {
             return None;
         }
         let trans_t2q = shipped_bytes(t_sys, t_pid, &ship_t);
-        let trans_q2t = shipped_bytes(q_sys, q_pid, &ship_q);
         let mut comp_t2q = estimate_comp(
-            t_sys, t_pid, &ship_t, q_sys, q_pid, tau, func, opts, scratch,
+            t_sys, t_pid, &ship_t, q_sys, q_pid, diagonal, tau, func, opts, probe,
         );
-        let mut comp_q2t = estimate_comp(
-            q_sys, q_pid, &ship_q, t_sys, t_pid, tau, func, opts, scratch,
-        );
+        let (trans_q2t, mut comp_q2t) = if diagonal {
+            (trans_t2q, comp_t2q)
+        } else {
+            (
+                shipped_bytes(q_sys, q_pid, &ship_q),
+                estimate_comp(
+                    q_sys, q_pid, &ship_q, t_sys, t_pid, false, tau, func, opts, probe,
+                ),
+            )
+        };
         // Observed-cost correction: scale each direction's sampled
         // estimate by its *destination* node's measured ratio (T→Q
         // computes on Q_j = node nt + q_pid, Q→T on T_i = node t_pid).
-        // Self-joins pool each partition's two node ids.
+        // Self-joins pool each partition's two node ids, or orientation
+        // sidesteps an inflated destination via its mirror.
         if let Some(fb) = &opts.observed_costs {
             if self_join {
                 comp_t2q *= fb.comp_factor_pooled(&[q_pid, nt + q_pid], opts.delta_sec);
@@ -578,11 +640,8 @@ fn build_edges(
     let mut helper_cpu = Duration::ZERO;
     match pool {
         None => {
-            let mut scratch = ProbeScratch::new();
-            edges = pairs
-                .iter()
-                .filter_map(|p| weigh(p, &mut scratch))
-                .collect();
+            let mut probe = RowProbe::default();
+            edges = pairs.iter().filter_map(|p| weigh(p, &mut probe)).collect();
         }
         Some(pool) => {
             let chunk = pairs.len().div_ceil(threads * 4).max(1);
@@ -595,9 +654,9 @@ fn build_edges(
                     let weigh = &weigh;
                     s.spawn(move |_| {
                         let t0 = thread_cpu_time();
-                        let mut scratch = ProbeScratch::new();
+                        let mut probe = RowProbe::default();
                         for (pair, slot) in part.iter().zip(out.iter_mut()) {
-                            *slot = weigh(pair, &mut scratch);
+                            *slot = weigh(pair, &mut probe);
                         }
                         let dt = thread_cpu_time().saturating_sub(t0);
                         cpu_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
@@ -613,7 +672,7 @@ fn build_edges(
 
 /// Local ids in `sys`'s partition `pid` whose endpoints are compatible with
 /// the opposite partition's endpoint MBRs. `other_min_len` is the shortest
-/// trajectory on the opposite side (LCSS shorter-side rule).
+/// trajectory on the opposite side (two 1-point DTW sides share one cell).
 fn relevant_members(
     sys: &DitaSystem,
     pid: usize,
@@ -639,9 +698,10 @@ fn relevant_members(
                 }
                 IndexMode::Max => df <= tau && dl <= tau,
                 IndexMode::EditCount { eps, symmetric } => {
-                    // LCSS: this trajectory's endpoint misses charge only
-                    // when it is the shorter side of every possible pair.
-                    if !symmetric && t.len() > other_min_len {
+                    // LCSS: an endpoint far from the other side's endpoints
+                    // may still match one of their neighbours within the δ
+                    // band, at no charge.
+                    if !symmetric {
                         return true;
                     }
                     let (f, l) = (usize::from(df > eps), usize::from(dl > eps));
@@ -671,10 +731,70 @@ fn sample_indices(len: usize, sample_size: usize) -> impl Iterator<Item = usize>
     (0..sample).map(move |k| k * len / sample)
 }
 
+/// What one thread needs to probe tries with stored rows: the trie walk's
+/// scratch, and one point buffer a row's coordinates are copied into (the
+/// store keeps them as two arrays, the probe indexes points). Both grow to
+/// their working size once and serve every row after that.
+#[derive(Debug, Default)]
+struct RowProbe {
+    walk: ProbeScratch,
+    pts: Vec<Point>,
+}
+
+impl RowProbe {
+    fn load(&mut self, row: EntryRef<'_>) {
+        let soa = row.soa();
+        self.pts.clear();
+        self.pts.extend((0..soa.len()).map(|j| soa.point(j)));
+    }
+
+    /// The candidates of `row` in `trie`, ascending.
+    fn candidates(
+        &mut self,
+        row: EntryRef<'_>,
+        trie: &TrieIndex,
+        tau: f64,
+        func: &DistanceFunction,
+    ) -> Vec<u32> {
+        self.load(row);
+        trie.candidates_with_scratch(&self.pts, tau, func, &mut self.walk)
+            .0
+    }
+
+    /// `candidates(..).len()` without materializing the list
+    /// ([`TrieIndex::candidate_count`]).
+    fn count(
+        &mut self,
+        row: EntryRef<'_>,
+        trie: &TrieIndex,
+        tau: f64,
+        func: &DistanceFunction,
+    ) -> usize {
+        self.load(row);
+        trie.candidate_count(&self.pts, tau, func, &mut self.walk)
+    }
+}
+
+/// Whether `func(a, a)` is `+0.0` for every stored trajectory `a` — the
+/// licence for answering a self-join's `(a, a)` without the kernel (pinned
+/// by `tests/join_symmetry.rs`). Stored coordinates are finite, so every
+/// point is at distance zero of itself: the diagonal alignment costs
+/// nothing and no alignment costs less. EDR and LCSS only match a point
+/// with itself when `ϵ ≥ 0`, and a non-finite ERP gap poisons the DP's
+/// minima; those keep the kernel call.
+fn self_distance_is_zero(func: &DistanceFunction) -> bool {
+    match *func {
+        DistanceFunction::Dtw | DistanceFunction::Frechet => true,
+        DistanceFunction::Edr { eps } | DistanceFunction::Lcss { eps, .. } => eps >= 0.0,
+        DistanceFunction::Erp { gap } => gap.0.is_finite() && gap.1.is_finite(),
+    }
+}
+
 /// Estimates the candidate-pair count for shipping `ids` from `src` to
-/// `dst` by probing the destination trie with a sample (§6.2). Uses
-/// [`TrieIndex::candidate_count`](dita_index::TrieIndex::candidate_count)
-/// so the probe allocates nothing beyond the reusable `scratch` stack.
+/// `dst` by probing the destination trie with a sample (§6.2). On a
+/// self-join's `diagonal` edge a sampled row counts what the local join
+/// will examine for it — itself and the candidates after it — so
+/// [`CostFeedback`]'s predicted and observed pairs stay comparable.
 #[allow(clippy::too_many_arguments)]
 fn estimate_comp(
     src: &DitaSystem,
@@ -682,10 +802,11 @@ fn estimate_comp(
     ids: &[u32],
     dst: &DitaSystem,
     dst_pid: usize,
+    diagonal: bool,
     tau: f64,
     func: &DistanceFunction,
     opts: &JoinOptions,
-    scratch: &mut ProbeScratch,
+    probe: &mut RowProbe,
 ) -> f64 {
     if ids.is_empty() {
         return 0.0;
@@ -695,8 +816,13 @@ fn estimate_comp(
     let mut total = 0usize;
     let mut taken = 0usize;
     for k in sample_indices(ids.len(), opts.sample_size) {
-        let pts = src_trie.get(ids[k]).points_vec();
-        total += dst_trie.candidate_count(&pts, tau, func, scratch);
+        let row = src_trie.get(ids[k]);
+        total += if diagonal {
+            let cands = probe.candidates(row, dst_trie, tau, func);
+            cands.len() - cands.partition_point(|&c| c < ids[k])
+        } else {
+            probe.count(row, dst_trie, tau, func)
+        };
         taken += 1;
     }
     total as f64 / taken as f64 * ids.len() as f64
@@ -711,8 +837,10 @@ fn orient(edges: &mut [Edge], nt: usize, nq: usize, lambda: f64) {
     let mut nc = vec![0.0f64; n];
     let mut cc = vec![0.0f64; n];
 
-    let apply = |e: &Edge, sign: f64, nc: &mut [f64], cc: &mut [f64]| {
-        if e.forward {
+    // Adds (`sign` 1) or removes (−1) what `e` costs its two nodes when it
+    // runs `forward` — the edge's own direction, or a trial flip of it.
+    let apply = |e: &Edge, forward: bool, sign: f64, nc: &mut [f64], cc: &mut [f64]| {
+        if forward {
             nc[e.t_pid] += sign * e.trans_t2q;
             cc[nt + e.q_pid] += sign * e.comp_t2q;
         } else {
@@ -725,7 +853,7 @@ fn orient(edges: &mut [Edge], nt: usize, nq: usize, lambda: f64) {
         e.forward = lambda * e.trans_t2q + e.comp_t2q <= lambda * e.trans_q2t + e.comp_q2t;
     }
     for e in edges.iter() {
-        apply(e, 1.0, &mut nc, &mut cc);
+        apply(e, e.forward, 1.0, &mut nc, &mut cc);
     }
 
     let tc = |i: usize, nc: &[f64], cc: &[f64]| lambda * nc[i] + cc[i];
@@ -744,23 +872,22 @@ fn orient(edges: &mut [Edge], nt: usize, nq: usize, lambda: f64) {
             if !incident {
                 continue;
             }
-            apply(e, -1.0, &mut nc, &mut cc);
-            let mut flipped = e.clone();
-            flipped.forward = !e.forward;
-            apply(&flipped, 1.0, &mut nc, &mut cc);
+            apply(e, e.forward, -1.0, &mut nc, &mut cc);
+            apply(e, !e.forward, 1.0, &mut nc, &mut cc);
             let g = global(&nc, &cc);
             // Undo.
-            apply(&flipped, -1.0, &mut nc, &mut cc);
-            apply(e, 1.0, &mut nc, &mut cc);
+            apply(e, !e.forward, -1.0, &mut nc, &mut cc);
+            apply(e, e.forward, 1.0, &mut nc, &mut cc);
             if g < best_global - 1e-12 && best.is_none_or(|(_, bg)| g < bg) {
                 best = Some((ei, g));
             }
         }
         match best {
             Some((ei, g)) => {
-                apply(&edges[ei], -1.0, &mut nc, &mut cc);
-                edges[ei].forward = !edges[ei].forward;
-                apply(&edges[ei], 1.0, &mut nc, &mut cc);
+                let e = &mut edges[ei];
+                apply(e, e.forward, -1.0, &mut nc, &mut cc);
+                e.forward = !e.forward;
+                apply(e, e.forward, 1.0, &mut nc, &mut cc);
                 best_global = g;
             }
             None => break,

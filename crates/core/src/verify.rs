@@ -91,6 +91,17 @@ impl QueryContext {
     pub fn soa(&self) -> &SoaPoints {
         &self.soa
     }
+
+    /// The query's artifacts as the view [`verify_views`] takes. A query
+    /// has no trajectory id; the filter stages never read one.
+    fn view(&self) -> CandidateView<'_> {
+        CandidateView {
+            id: TrajectoryId::MAX,
+            mbr: &self.mbr,
+            cells: self.cells.cells(),
+            soa: self.soa.view(),
+        }
+    }
 }
 
 /// Borrowed candidate artifacts for verification — everything the filter
@@ -132,37 +143,34 @@ impl<'a> From<EntryRef<'a>> for CandidateView<'a> {
 }
 
 /// The cheap filter stages shared by both verification paths: returns true
-/// when the candidate is provably outside the threshold.
+/// when the candidate is provably outside the threshold. The query side is
+/// a view too, so a stored trajectory can play it in place (the join).
 fn prefiltered(
     cand_soa: SoaView<'_>,
     cand_mbr: &Mbr,
     cand_cells: &[Cell],
-    q: &QueryContext,
+    q: &CandidateView<'_>,
     tau: f64,
     func: &DistanceFunction,
 ) -> bool {
     match func {
         DistanceFunction::Dtw => {
-            bounds::mbr_coverage_prune(cand_mbr, &q.mbr, tau)
-                || cell_lower_bound(cand_cells, q.cells.cells()) > tau
-                || cell_lower_bound(q.cells.cells(), cand_cells) > tau
+            bounds::mbr_coverage_prune(cand_mbr, q.mbr, tau)
+                || cell_lower_bound(cand_cells, q.cells) > tau
+                || cell_lower_bound(q.cells, cand_cells) > tau
         }
         DistanceFunction::Frechet => {
-            bounds::mbr_coverage_prune(cand_mbr, &q.mbr, tau)
-                || cell_bottleneck_bound(cand_cells, q.cells.cells()) > tau
-                || cell_bottleneck_bound(q.cells.cells(), cand_cells) > tau
+            bounds::mbr_coverage_prune(cand_mbr, q.mbr, tau)
+                || cell_bottleneck_bound(cand_cells, q.cells) > tau
+                || cell_bottleneck_bound(q.cells, cand_cells) > tau
         }
-        DistanceFunction::Edr { .. } => {
-            bounds::length_bound_edr(cand_soa.len(), q.points.len(), tau)
-        }
+        DistanceFunction::Edr { .. } => bounds::length_bound_edr(cand_soa.len(), q.soa.len(), tau),
         DistanceFunction::Erp { gap } => {
             // Magnitude bound (Chen & Ng): ERP ≥ |Σ dist(t_i, g) − Σ dist(q_j, g)|.
             let g = Point::new(gap.0, gap.1);
-            let st: f64 = (0..cand_soa.len())
-                .map(|i| cand_soa.point(i).dist(&g))
-                .sum();
-            let sq: f64 = q.points.iter().map(|p| p.dist(&g)).sum();
-            (st - sq).abs() > tau
+            let to_gap =
+                |s: SoaView<'_>| -> f64 { (0..s.len()).map(|i| s.point(i).dist(&g)).sum() };
+            (to_gap(cand_soa) - to_gap(q.soa)).abs() > tau
         }
         _ => false,
     }
@@ -180,7 +188,14 @@ pub fn verify_pair(
     func: &DistanceFunction,
 ) -> Option<f64> {
     let soa = SoaPoints::from_points(cand_points);
-    if prefiltered(soa.view(), cand_mbr, cand_cells.cells(), q, tau, func) {
+    if prefiltered(
+        soa.view(),
+        cand_mbr,
+        cand_cells.cells(),
+        &q.view(),
+        tau,
+        func,
+    ) {
         return None;
     }
     func.verify(cand_points, &q.points, tau)
@@ -196,10 +211,24 @@ pub fn verify_pair_soa(
     func: &DistanceFunction,
     scratch: &mut Scratch,
 ) -> Option<f64> {
-    if prefiltered(cand.soa, cand.mbr, cand.cells, q, tau, func) {
+    verify_views(cand, q.view(), tau, func, scratch)
+}
+
+/// [`verify_pair_soa`] with the query side borrowed as well: the join's
+/// shipped rows are stored trajectories, whose MBR, cells and coordinates
+/// are read where they lie instead of being copied into a
+/// [`QueryContext`] per row.
+pub(crate) fn verify_views(
+    cand: CandidateView<'_>,
+    q: CandidateView<'_>,
+    tau: f64,
+    func: &DistanceFunction,
+    scratch: &mut Scratch,
+) -> Option<f64> {
+    if prefiltered(cand.soa, cand.mbr, cand.cells, &q, tau, func) {
         return None;
     }
-    func.verify_soa(cand.soa, q.soa.view(), tau, scratch)
+    func.verify_soa(cand.soa, q.soa, tau, scratch)
 }
 
 /// Verifies a worker task's candidate list, returning `(id, distance)` hits

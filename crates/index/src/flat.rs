@@ -390,7 +390,7 @@ impl<'a> EntryRef<'a> {
     }
 
     /// Materializes the points as an AoS vector (cold paths: compaction,
-    /// join query contexts).
+    /// flush).
     pub fn points_vec(&self) -> Vec<Point> {
         let v = self.soa();
         (0..v.len()).map(|j| Point::new(v.xs[j], v.ys[j])).collect()

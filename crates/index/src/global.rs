@@ -22,8 +22,6 @@ pub struct GlobalIndex {
     mbrs: Vec<(Mbr, Mbr)>,
     /// Shortest member per partition (edit-family charge cap).
     min_lens: Vec<usize>,
-    /// Longest member per partition (LCSS shorter-side rule).
-    max_lens: Vec<usize>,
 }
 
 impl GlobalIndex {
@@ -35,7 +33,6 @@ impl GlobalIndex {
             .map(|p| (p.mbr_first, p.mbr_last))
             .collect();
         let min_lens: Vec<usize> = partitioning.partitions.iter().map(|p| p.min_len).collect();
-        let max_lens: Vec<usize> = partitioning.partitions.iter().map(|p| p.max_len).collect();
         let rtree_first =
             RTree::bulk_load(mbrs.iter().enumerate().map(|(i, m)| (m.0, i)).collect());
         let rtree_last = RTree::bulk_load(mbrs.iter().enumerate().map(|(i, m)| (m.1, i)).collect());
@@ -44,7 +41,6 @@ impl GlobalIndex {
             rtree_last,
             mbrs,
             min_lens,
-            max_lens,
         }
     }
 
@@ -65,8 +61,11 @@ impl GlobalIndex {
     ///
     /// * `Additive` (DTW, ERP): `MinDist(q1, MBR_f) + MinDist(qn, MBR_l) ≤ τ`.
     /// * `Max` (Fréchet): both MinDists ≤ τ.
-    /// * `EditCount` (EDR, LCSS): an endpoint farther than ϵ from its MBR
-    ///   costs one edit; a partition stays relevant while the edit count ≤ τ.
+    /// * `EditCount`, symmetric (EDR): an endpoint farther than ϵ from its
+    ///   MBR costs one edit; a partition stays relevant while the edit
+    ///   count ≤ τ. LCSS keeps every partition: an endpoint of its shorter
+    ///   side may match any of the other's first (last) δ + 1 points for
+    ///   free, and the endpoint MBRs bound only the first (last) one.
     pub fn relevant_partitions(
         &self,
         first: &Point,
@@ -117,15 +116,12 @@ impl GlobalIndex {
             IndexMode::EditCount { eps, symmetric } => {
                 // Edit budgets are small integers; enumerate the O(N_G²)
                 // partition table directly.
+                if !symmetric {
+                    return (0..self.mbrs.len()).collect();
+                }
                 let budget = tau.floor() as i64;
                 let mut out = Vec::new();
                 for (id, (mf, ml)) in self.mbrs.iter().enumerate() {
-                    // LCSS charges only the shorter side: member endpoint
-                    // misses count only when every member is ≤ the query.
-                    if !symmetric && self.max_lens[id] > query_len {
-                        out.push(id);
-                        continue;
-                    }
                     let f_miss = i64::from(mf.min_dist_point(first) > eps);
                     let l_miss = i64::from(ml.min_dist_point(last) > eps);
                     // A single-point member's first and last are the same
@@ -261,6 +257,29 @@ mod tests {
             },
         );
         assert!(rel0.is_empty());
+    }
+
+    #[test]
+    fn lcss_keeps_partitions_whose_endpoints_match_inside_the_band() {
+        // Members are three points long; a five-point query wraps one of
+        // them in two far-away points. Under LCSS (δ ≥ 1) the member — the
+        // shorter side — matches the query's inner points and the distance
+        // is 0, although both of its endpoints are far from the query's.
+        let ts = dataset();
+        let parts = str_partitioning(&ts, 2);
+        let g = GlobalIndex::build(&parts);
+        let far = Point::new(500.0, 500.0);
+        let rel = g.relevant_partitions(
+            &far,
+            &far,
+            5,
+            0.0,
+            IndexMode::EditCount {
+                eps: 0.001,
+                symmetric: false,
+            },
+        );
+        assert_eq!(rel.len(), g.num_partitions());
     }
 
     #[test]

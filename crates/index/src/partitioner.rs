@@ -28,8 +28,7 @@ pub struct Partition {
     /// Shortest member length — the edit-family global filter may charge
     /// two endpoint edits only when first and last are distinct points.
     pub min_len: usize,
-    /// Longest member length — LCSS may charge member endpoints only when
-    /// every member is the shorter side of the pair.
+    /// Longest member length.
     pub max_len: usize,
 }
 

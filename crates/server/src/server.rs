@@ -174,10 +174,14 @@ impl Reply {
         self.cv.notify_all();
     }
 
-    /// Waits up to `step` for the result.
+    /// Waits up to `step` for the result. Looks at the slot before it
+    /// sleeps: a result filled before this call has already spent its
+    /// notification.
     fn take(&self, step: Duration) -> Option<Result<Value, ErrorBody>> {
         let slot = self.slot.lock();
-        let (mut slot, _) = self.cv.wait_timeout(slot, step);
+        let (mut slot, _) = self
+            .cv
+            .wait_timeout_while(slot, step, |slot| slot.is_none());
         slot.take()
     }
 }
@@ -975,9 +979,14 @@ fn run_dispatcher(shared: &Shared) {
                 shared.note_drain_progress();
             }
             None => {
+                // A submit between `next_batch` and this lock has already
+                // notified; its job shows in the queue depth, read under
+                // the lock its `wake_dispatcher` takes (`server-dispatch-work`
+                // 24 < `scheduler-queue` 40), so no wake-up is lost.
                 let guard = shared.work_mx.lock();
-                // Losing this wait's wakeup only costs one POLL tick.
-                let _ = shared.work_cv.wait_timeout(guard, POLL);
+                let _ = shared
+                    .work_cv
+                    .wait_timeout_while(guard, POLL, |()| shared.scheduler.queue_depth() == 0);
             }
         }
     }
@@ -1220,6 +1229,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_reply_filled_before_the_wait_is_taken_at_once() {
+        // The dispatcher can answer before the connection thread reaches
+        // `take`; that notification is spent, so `take` must look at the
+        // slot before sleeping. A wait that did sleep would use up the whole
+        // step, which is far longer than the bound asserted here.
+        let reply = Reply::new(&Obs::disabled());
+        reply.fill(Ok(Value::Null));
+        let step = Duration::from_secs(20);
+        let start = Instant::now();
+        assert!(matches!(reply.take(step), Some(Ok(Value::Null))));
+        assert!(
+            start.elapsed() < step / 4,
+            "take slept: {:?}",
+            start.elapsed()
+        );
+        // Nothing left: an empty slot still waits its step out.
+        let start = Instant::now();
+        assert!(reply.take(POLL).is_none());
+        assert!(start.elapsed() >= POLL);
     }
 
     #[test]
