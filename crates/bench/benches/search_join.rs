@@ -8,7 +8,6 @@ use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::{join, search, DitaSystem, JoinOptions, QueryContext};
 use dita_datagen::{beijing_like, sample_queries};
 use dita_distance::{bounds, DistanceFunction};
-use dita_trajectory::CellList;
 use std::hint::black_box;
 
 fn system(n: usize) -> (dita_trajectory::Dataset, DitaSystem) {
@@ -60,11 +59,8 @@ fn bench_verification_ablation(c: &mut Criterion) {
     let d = beijing_like(512, 41);
     let queries = sample_queries(&d, 8, 43);
     let tau = 0.003;
-    let cands: Vec<(&dita_trajectory::Trajectory, dita_trajectory::Mbr, CellList)> = d
-        .trajectories()
-        .iter()
-        .map(|t| (t, t.mbr(), CellList::compress(t, 0.002)))
-        .collect();
+    let cands: Vec<(&dita_trajectory::Trajectory, dita_trajectory::Mbr)> =
+        d.trajectories().iter().map(|t| (t, t.mbr())).collect();
     let ctxs: Vec<QueryContext> = queries
         .iter()
         .map(|q| QueryContext::new(q.points(), 0.002))
@@ -75,7 +71,7 @@ fn bench_verification_ablation(c: &mut Criterion) {
     g.bench_function("plain-dtw-threshold", |b| {
         b.iter(|| {
             for ctx in &ctxs {
-                for (t, _, _) in &cands {
+                for (t, _) in &cands {
                     black_box(dita_distance::dtw_threshold(t.points(), ctx.points(), tau));
                 }
             }
@@ -84,7 +80,7 @@ fn bench_verification_ablation(c: &mut Criterion) {
     g.bench_function("double-direction-only", |b| {
         b.iter(|| {
             for ctx in &ctxs {
-                for (t, _, _) in &cands {
+                for (t, _) in &cands {
                     black_box(dita_distance::dtw_double_direction(
                         t.points(),
                         ctx.points(),
@@ -97,7 +93,7 @@ fn bench_verification_ablation(c: &mut Criterion) {
     g.bench_function("mbr-coverage-then-dtw", |b| {
         b.iter(|| {
             for ctx in &ctxs {
-                for (t, mbr, _) in &cands {
+                for (t, mbr) in &cands {
                     if !bounds::mbr_coverage_prune(mbr, ctx.mbr(), tau) {
                         black_box(dita_distance::dtw_double_direction(
                             t.points(),
@@ -112,11 +108,10 @@ fn bench_verification_ablation(c: &mut Criterion) {
     g.bench_function("full-pipeline", |b| {
         b.iter(|| {
             for ctx in &ctxs {
-                for (t, mbr, cells) in &cands {
+                for (t, mbr) in &cands {
                     black_box(dita_core::verify_pair(
                         t.points(),
                         mbr,
-                        cells,
                         ctx,
                         tau,
                         &DistanceFunction::Dtw,

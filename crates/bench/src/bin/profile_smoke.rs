@@ -9,7 +9,7 @@
 //! `results/PROFILE_SMOKE.json`).
 //!
 //! The binary self-validates — it panics (non-zero exit) if the profile
-//! tree is missing the documented spans, the funnel is inconsistent, any
+//! tree is missing the documented spans, a funnel is inconsistent, any
 //! operation's critical-path attribution fails to sum to ~100%, or the
 //! JSON does not round-trip — so `scripts/profile_smoke.sh` only has to
 //! check the exit code and re-parse the JSON.
@@ -63,6 +63,7 @@ fn main() {
 
     let mut report = sys.obs().report();
     report.attach_funnel(stats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER));
+    report.attach_funnel(stats.verify.funnel());
     report.attach_critpath();
 
     // Self-check: the documented span hierarchy and a consistent funnel.
@@ -85,6 +86,15 @@ fn main() {
         funnel.survivors() as usize,
         stats.candidates,
         "funnel survivors must equal the search's candidate count"
+    );
+    let verify = &report.funnels[1];
+    assert_eq!(
+        (
+            verify.stages[0].entered as usize,
+            verify.survivors() as usize
+        ),
+        (stats.candidates, hits.len()),
+        "the verify funnel must take the candidates to the answers"
     );
     // Critical-path analyses: one per operation, attribution complete.
     for op in ["search", "join", "knn"] {

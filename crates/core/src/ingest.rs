@@ -428,6 +428,30 @@ mod tests {
     }
 
     #[test]
+    fn verify_stages_count_the_overlay_too() {
+        let mut sys = fig1_system(2);
+        let q = figure1_trajectories()[0].points().to_vec();
+        sys.insert(Trajectory::from_coords(
+            6,
+            &[(1.0, 1.5), (3.0, 2.0), (5.0, 5.0)],
+        ));
+        sys.flush(); // a segment…
+        sys.insert(Trajectory::from_coords(
+            7,
+            &[(1.0, 1.0), (4.0, 4.0), (5.0, 5.5)],
+        ));
+        // …and a tail, over the base tries.
+        let (hits, stats) = crate::search(&sys, &q, 6.0, &DistanceFunction::Dtw);
+        assert!(stats.delta_candidates >= 2);
+        assert_eq!(
+            stats.verify.candidates,
+            stats.candidates + stats.delta_candidates
+        );
+        // Nothing is tombstoned, so every accepted candidate is an answer.
+        assert_eq!(stats.verify.accepted(), hits.len());
+    }
+
+    #[test]
     fn upsert_replaces_and_delta_ratio_tracks_pending_work() {
         let mut sys = fig1_system(2);
         assert_eq!(sys.delta_ratio(), 0.0);

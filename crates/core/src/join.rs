@@ -32,7 +32,7 @@
 
 use crate::feedback::CostFeedback;
 use crate::system::DitaSystem;
-use crate::verify::{verify_views, CandidateView};
+use crate::verify::{verify_views, CandidateView, QuerySide, VerifyStats};
 use dita_cluster::JobStats;
 use dita_distance::function::IndexMode;
 use dita_distance::kernel::Scratch;
@@ -118,6 +118,10 @@ pub struct JoinStats {
     /// unordered pair once and counts it once, `(a, a)` included, so this
     /// can be below `results`, which counts both orders.
     pub candidates: usize,
+    /// What verification made of those candidates, stage by stage. A
+    /// self-join answers `(a, a)` without verifying it, so
+    /// `verify.candidates` can be below `candidates`.
+    pub verify: VerifyStats,
     /// Result pair count.
     pub results: usize,
     /// Partition replicas created by division balancing.
@@ -344,6 +348,7 @@ fn join_base(
     let self_is_zero = self_distance_is_zero(func);
     let (outputs, job) = cluster.execute_dynamic(tasks, move |(slot, eis): (usize, Vec<usize>)| {
         let mut candidates = 0usize;
+        let mut stages = VerifyStats::default();
         let mut pairs: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
         let mut scratch = Scratch::new();
         // One probe state and one filter → verify buffer for every row
@@ -385,16 +390,18 @@ fn join_base(
             }
             let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = dst_pid);
             for (sid, cands) in probes.drain(..) {
-                // The shipped row's clustered-index artifacts (MBR, cell
-                // compression, coordinates) are the query, read in place.
+                // The shipped row's clustered-index artifacts (MBR,
+                // coordinates) are the query, read in place.
                 let s = CandidateView::from(src_trie.get(sid));
+                let side = QuerySide::new(s.mbr, s.soa, func);
                 for c in cands {
                     if diagonal && c == sid && self_is_zero {
                         pairs.push((s.id, s.id, 0.0));
                         continue;
                     }
                     let d = CandidateView::from(dst_trie.get(c));
-                    if let Some(dist) = verify_views(d, s, tau, func, &mut scratch) {
+                    if let Some(dist) = verify_views(d, &side, tau, func, &mut scratch, &mut stages)
+                    {
                         let (t, q) = if e.forward {
                             (s.id, d.id)
                         } else {
@@ -410,7 +417,7 @@ fn join_base(
                 }
             }
         }
-        (candidates, pairs)
+        (candidates, stages, pairs)
     });
 
     // Close the planning loop: per destination node, pair the compute the
@@ -429,12 +436,14 @@ fn join_base(
         feedback.set_predicted(node, prior + comp);
     }
     let mut candidates = 0usize;
+    let mut verify = VerifyStats::default();
     let mut results: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
-    for ((c, pairs), cost) in outputs.into_iter().zip(&job.task_costs) {
+    for ((c, stages, pairs), cost) in outputs.into_iter().zip(&job.task_costs) {
         if let Some(node) = cost.partition {
             feedback.observe(node, c as f64, cost.compute_sec, cost.bytes);
         }
         candidates += c;
+        verify.merge(&stages);
         results.extend(pairs);
     }
     results.sort_by_key(|a| (a.0, a.1));
@@ -456,6 +465,7 @@ fn join_base(
             .add(candidates as u64);
         obs.counter(names::JOIN_RESULTS_TOTAL)
             .add(results.len() as u64);
+        verify.funnel().record(obs);
         obs.gauge(names::JOIN_REPLICAS).set(replicas as f64);
         obs.histogram_seconds(names::JOIN_PLAN_SECONDS)
             .observe(plan_secs);
@@ -467,6 +477,7 @@ fn join_base(
         forward_edges,
         shipped_bytes,
         candidates,
+        verify,
         results: results.len(),
         replicas,
         predicted_tc_global: predicted,

@@ -45,4 +45,5 @@ pub use search::{
 pub use system::{BuildStats, DitaConfig, DitaSystem};
 pub use verify::{
     try_verify_candidates, verify_candidates, verify_pair, verify_pair_soa, QueryContext,
+    VerifyStats,
 };

@@ -11,7 +11,7 @@
 //! its own, exactly as it would be alone.
 
 use crate::system::DitaSystem;
-use crate::verify::{try_verify_candidates, verify_candidates, QueryContext};
+use crate::verify::{try_verify_candidates, verify_views, QueryContext, VerifyStats};
 use dita_cluster::{JobStats, TaskSpec};
 use dita_distance::DistanceFunction;
 use dita_index::{FilterStats, ProbeScratch};
@@ -32,6 +32,9 @@ pub struct SearchStats {
     pub results: usize,
     /// Aggregated trie filter funnel (nodes visited/pruned, leaf checks).
     pub filter: FilterStats,
+    /// What verification made of the candidates, stage by stage; its
+    /// `candidates` is `candidates + delta_candidates`.
+    pub verify: VerifyStats,
     /// Candidates produced by the delta overlay: live segment-trie
     /// candidates plus exact-checked unflushed tail entries. Zero on a
     /// clean (fully compacted) table.
@@ -108,6 +111,9 @@ pub struct QueryStats {
     pub results: usize,
     /// This query's trie filter funnel.
     pub filter: FilterStats,
+    /// This query's verification stages, overlay included:
+    /// `verify.candidates == candidates + delta_candidates`.
+    pub verify: VerifyStats,
     /// Delta-overlay candidates (segments + exact-checked tails).
     pub delta_candidates: usize,
     /// This query's delta-segment filter funnel.
@@ -179,6 +185,7 @@ pub fn search_with_scratch(
         candidates: query.candidates,
         results: query.results,
         filter: query.filter,
+        verify: query.verify,
         delta_candidates: query.delta_candidates,
         delta_filter: query.delta_filter,
         job: stats.job,
@@ -193,7 +200,8 @@ pub fn search_with_scratch(
 /// policy keeps them few). Nothing here runs when the table is clean, so a
 /// compacted table searches byte-for-byte like a freshly built one.
 ///
-/// Returns `(delta_candidates, delta_filter, tail_checked, tail_hits)`.
+/// Returns `(delta_candidates, delta_filter, tail_checked, tail_hits)` and
+/// adds the overlay's verifications to `verify`.
 #[allow(clippy::too_many_arguments)]
 fn overlay_deltas(
     system: &DitaSystem,
@@ -203,6 +211,7 @@ fn overlay_deltas(
     func: &DistanceFunction,
     verify_threads: usize,
     results: &mut Vec<(TrajectoryId, f64)>,
+    verify: &mut VerifyStats,
     scratch: &mut SearchScratch,
 ) -> (usize, FilterStats, u64, u64) {
     let deltas = system.deltas();
@@ -233,21 +242,17 @@ fn overlay_deltas(
             .filter(|&c| !seg.dead.contains(&seg.trie.get(c).id()))
             .collect();
         delta_candidates += cands.len();
-        results.extend(verify_candidates(
-            &seg.trie,
-            &cands,
-            q_ctx,
-            tau,
-            func,
-            verify_threads,
-        ));
+        let (hits, vs) = try_verify_candidates(&seg.trie, &cands, q_ctx, tau, func, verify_threads)
+            .expect("the candidates come from a probe of this segment's trie");
+        results.extend(hits);
+        verify.merge(&vs);
     }
     scratch.put_probe(probe);
+    let side = q_ctx.side(func);
     for part in deltas.parts() {
         for it in part.tail.values() {
             tail_checked += 1;
-            if let Some(d) =
-                crate::verify::verify_pair_soa(it.into(), q_ctx, tau, func, &mut scratch.kernel)
+            if let Some(d) = verify_views(it.into(), &side, tau, func, &mut scratch.kernel, verify)
             {
                 tail_hits += 1;
                 results.push((it.traj.id, d));
@@ -347,6 +352,7 @@ pub(crate) fn run_batch(
             candidates: 0,
             results: 0,
             filter: FilterStats::default(),
+            verify: VerifyStats::default(),
             delta_candidates: 0,
             delta_filter: FilterStats::default(),
         });
@@ -395,8 +401,8 @@ pub(crate) fn run_batch(
                 trie.candidates_with_scratch(q_ctx.points(), tau, func, &mut probe)
             };
             let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = pid, query = qi);
-            let hits = try_verify_candidates(trie, &cands, q_ctx, tau, func, verify_threads)?;
-            out.push((qi, cands.len(), fs, hits));
+            let (hits, vs) = try_verify_candidates(trie, &cands, q_ctx, tau, func, verify_threads)?;
+            out.push((qi, fs, vs, hits));
         }
         scratch_ref.put_probe(probe);
         Ok(out)
@@ -405,10 +411,11 @@ pub(crate) fn run_batch(
     // Step 3 (driver): collect per query, then each query's delta overlay,
     // sort and obs accounting.
     let mut results: Vec<Vec<(TrajectoryId, f64)>> = vec![Vec::new(); queries.len()];
-    for (qi, candidates, fs, hits) in per_worker.into_iter().flatten() {
+    for (qi, fs, vs, hits) in per_worker.into_iter().flatten() {
         let qi = qi as usize;
-        stats[qi].candidates += candidates;
+        stats[qi].candidates += vs.candidates;
         stats[qi].filter.merge(&fs);
+        stats[qi].verify.merge(&vs);
         results[qi].extend(hits);
     }
     let deltas = system.deltas();
@@ -421,6 +428,7 @@ pub(crate) fn run_batch(
             func,
             verify_threads,
             hits,
+            &mut st.verify,
             scratch,
         );
         hits.sort_by_key(|&(id, _)| id);
@@ -429,6 +437,7 @@ pub(crate) fn run_batch(
         st.results = hits.len();
         if obs.is_enabled() {
             st.filter.funnel(names::FUNNEL_TRIE_FILTER).record(obs);
+            st.verify.funnel().record(obs);
             obs.counter(names::SEARCH_QUERIES_TOTAL).inc();
             obs.counter(names::SEARCH_CANDIDATES_TOTAL)
                 .add(st.candidates as u64);

@@ -1,17 +1,26 @@
 //! The verification pipeline (§5.3.3).
 //!
-//! Candidates that survive the trie filter are verified in three stages of
-//! increasing cost:
+//! Candidates that survive the trie filter are verified in stages of
+//! increasing cost, none of which reads anything but the two MBRs and the
+//! two coordinate arrays:
 //!
 //! 1. **MBR coverage** (Lemma 5.4) — O(1) rectangle containment on
 //!    τ-extended MBRs. Sound for DTW and Fréchet, whose alignments may not
-//!    skip points; the edit family can delete outliers, so the stage is
-//!    bypassed for EDR/LCSS/ERP.
-//! 2. **Cell bounds** (Lemma 5.6) — the compressed cell lists give an
-//!    additive lower bound for DTW and a bottleneck bound for Fréchet.
+//!    skip points; the edit family can delete outliers, so EDR and ERP run
+//!    their own linear bound (length, magnitude) in stage 2's place and
+//!    LCSS goes straight to the kernel.
+//! 2. **Point-to-MBR bound** (the same lemma, point by point:
+//!    `dita_distance::bounds::point_mbr_sum`) — O(m + n): the query's points
+//!    against the candidate's MBR, which touches nothing of the candidate
+//!    but that MBR, then the candidate's points against the query's MBR.
 //! 3. **Thresholded distance** — the band-pruned SoA kernels of
 //!    `dita_distance::kernel` on the hot path ([`verify_pair_soa`]), or the
 //!    double-direction DTW of §5.3.3(3) via the AoS [`verify_pair`].
+//!
+//! The paper's O(cells²) cell bound (Lemma 5.6) is not a stage: the bound
+//! of stage 2 prunes more for less (EXPERIMENTS.md "Where verification's
+//! time goes"). `dita_trajectory::cell_lower_bound` stays a library
+//! function.
 //!
 //! [`verify_candidates`] runs a worker task's whole candidate list through
 //! the pipeline, optionally on a rayon pool scoped to the worker, with
@@ -21,55 +30,36 @@ use dita_cluster::{charge_compute, thread_cpu_time, TaskError};
 use dita_distance::kernel::Scratch;
 use dita_distance::{bounds, DistanceFunction};
 use dita_index::{EntryRef, IndexedTrajectory, TrieIndex};
-use dita_trajectory::{
-    cell_bottleneck_bound, cell_lower_bound, Cell, CellList, Mbr, Point, SoaPoints, SoaView,
-    Trajectory, TrajectoryId,
-};
+use dita_obs::names;
+use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, TrajectoryId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Pre-computed query artifacts shared across all verifications of one
-/// query: its MBR, cell compression and SoA coordinate layout.
+/// query: its MBR and SoA coordinate layout.
 #[derive(Debug, Clone)]
 pub struct QueryContext {
     points: Vec<Point>,
     mbr: Mbr,
-    cells: CellList,
     soa: SoaPoints,
 }
 
 impl QueryContext {
-    /// Builds the context; `cell_side` should match the index's cell side so
-    /// bounds are comparable (any positive value is sound).
-    pub fn new(points: &[Point], cell_side: f64) -> Self {
-        assert!(
-            !points.is_empty(),
-            "queries must contain at least one point"
-        );
-        let traj = Trajectory::new(u64::MAX, points.to_vec());
-        QueryContext {
-            mbr: traj.mbr(),
-            cells: CellList::compress(&traj, cell_side),
-            soa: SoaPoints::from_points(points),
-            points: points.to_vec(),
-        }
+    /// Builds the context. `_cell_side` is unread: it sized the query's cell
+    /// compression while verification had a cell bound, and stays only
+    /// because the benchmark package passes it (ROADMAP item 2).
+    pub fn new(points: &[Point], _cell_side: f64) -> Self {
+        Self::from_parts(points.to_vec(), Mbr::from_points(points))
     }
 
-    /// Builds the context from already-computed artifacts — the join uses
-    /// this to reuse the shipped trajectory's clustered-index entries
-    /// instead of recompressing.
-    pub fn from_parts(points: Vec<Point>, mbr: Mbr, cells: CellList) -> Self {
+    /// Builds the context from an already-computed MBR.
+    pub fn from_parts(points: Vec<Point>, mbr: Mbr) -> Self {
         assert!(
             !points.is_empty(),
             "queries must contain at least one point"
         );
         let soa = SoaPoints::from_points(&points);
-        QueryContext {
-            points,
-            mbr,
-            cells,
-            soa,
-        }
+        QueryContext { points, mbr, soa }
     }
 
     /// The query points.
@@ -82,25 +72,37 @@ impl QueryContext {
         &self.mbr
     }
 
-    /// The query's cell compression.
-    pub fn cells(&self) -> &CellList {
-        &self.cells
-    }
-
     /// The query points in structure-of-arrays layout.
     pub fn soa(&self) -> &SoaPoints {
         &self.soa
     }
 
-    /// The query's artifacts as the view [`verify_views`] takes. A query
-    /// has no trajectory id; the filter stages never read one.
-    fn view(&self) -> CandidateView<'_> {
-        CandidateView {
-            id: TrajectoryId::MAX,
-            mbr: &self.mbr,
-            cells: self.cells.cells(),
-            soa: self.soa.view(),
-        }
+    /// The query prepared for a candidate list under `func`.
+    pub(crate) fn side(&self, func: &DistanceFunction) -> QuerySide<'_> {
+        QuerySide::new(&self.mbr, self.soa.view(), func)
+    }
+}
+
+/// The query side of a verification, prepared once per candidate list
+/// (search, delta overlay) or per shipped row (join): what the stages read
+/// of the query, plus the one term of a bound that depends on the query
+/// alone. A stored trajectory can play the query in place (the join).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuerySide<'a> {
+    mbr: &'a Mbr,
+    soa: SoaView<'a>,
+    /// `Σ dist(qⱼ, g)`, the query's half of ERP's magnitude bound; zero
+    /// and unread under every other function.
+    gap_sum: f64,
+}
+
+impl<'a> QuerySide<'a> {
+    pub(crate) fn new(mbr: &'a Mbr, soa: SoaView<'a>, func: &DistanceFunction) -> Self {
+        let gap_sum = match func {
+            DistanceFunction::Erp { gap } => bounds::dist_sum_to(soa, &Point::new(gap.0, gap.1)),
+            _ => 0.0,
+        };
+        QuerySide { mbr, soa, gap_sum }
     }
 }
 
@@ -112,10 +114,8 @@ impl QueryContext {
 pub struct CandidateView<'a> {
     /// The candidate's trajectory id.
     pub id: TrajectoryId,
-    /// Whole-trajectory MBR (Lemma 5.4 coverage filtering).
+    /// Whole-trajectory MBR (Lemma 5.4, both forms).
     pub mbr: &'a Mbr,
-    /// Cell compression (Lemma 5.6 bounds), side matching the index.
-    pub cells: &'a [Cell],
     /// The point sequence in structure-of-arrays layout.
     pub soa: SoaView<'a>,
 }
@@ -125,7 +125,6 @@ impl<'a> From<&'a IndexedTrajectory> for CandidateView<'a> {
         CandidateView {
             id: it.traj.id,
             mbr: &it.mbr,
-            cells: it.cells.cells(),
             soa: it.soa.view(),
         }
     }
@@ -136,74 +135,118 @@ impl<'a> From<EntryRef<'a>> for CandidateView<'a> {
         CandidateView {
             id: e.id(),
             mbr: e.mbr(),
-            cells: e.cells(),
             soa: e.soa(),
         }
     }
 }
 
-/// The cheap filter stages shared by both verification paths: returns true
-/// when the candidate is provably outside the threshold. The query side is
-/// a view too, so a stored trajectory can play it in place (the join).
-fn prefiltered(
-    cand_soa: SoaView<'_>,
-    cand_mbr: &Mbr,
-    cand_cells: &[Cell],
-    q: &CandidateView<'_>,
-    tau: f64,
-    func: &DistanceFunction,
-) -> bool {
-    match func {
-        DistanceFunction::Dtw => {
-            bounds::mbr_coverage_prune(cand_mbr, q.mbr, tau)
-                || cell_lower_bound(cand_cells, q.cells) > tau
-                || cell_lower_bound(q.cells, cand_cells) > tau
+/// What became of the candidates a verification was handed, stage by stage
+/// in pipeline order. Counts only; every candidate is in exactly one of the
+/// three rejected counts or accepted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VerifyStats {
+    /// Candidates handed to verification.
+    pub candidates: usize,
+    /// Rejected by MBR coverage (DTW and Fréchet only).
+    pub pruned_coverage: usize,
+    /// Rejected by the function's linear bound: point-to-MBR for DTW and
+    /// Fréchet, length for EDR, magnitude for ERP.
+    pub pruned_bound: usize,
+    /// Rejected by the thresholded kernel.
+    pub rejected_kernel: usize,
+}
+
+impl VerifyStats {
+    /// Candidates the kernel accepted: the answers.
+    pub fn accepted(&self) -> usize {
+        self.candidates - self.pruned_coverage - self.pruned_bound - self.rejected_kernel
+    }
+
+    /// Merges another list's counters into this one.
+    pub fn merge(&mut self, other: &VerifyStats) {
+        self.candidates += other.candidates;
+        self.pruned_coverage += other.pruned_coverage;
+        self.pruned_bound += other.pruned_bound;
+        self.rejected_kernel += other.rejected_kernel;
+    }
+
+    /// The counters as the `dita-obs` funnel [`names::FUNNEL_VERIFY`]; the
+    /// last stage's survivors equal [`VerifyStats::accepted`].
+    pub fn funnel(&self) -> dita_obs::Funnel {
+        let mut f = dita_obs::Funnel::new(names::FUNNEL_VERIFY);
+        let mut entered = self.candidates;
+        for (stage, pruned) in [
+            (names::STAGE_VERIFY_COVERAGE, self.pruned_coverage),
+            (names::STAGE_VERIFY_BOUND, self.pruned_bound),
+            (names::STAGE_VERIFY_KERNEL, self.rejected_kernel),
+        ] {
+            f.push_stage(stage, entered as u64, pruned as u64);
+            entered -= pruned;
         }
-        DistanceFunction::Frechet => {
-            bounds::mbr_coverage_prune(cand_mbr, q.mbr, tau)
-                || cell_bottleneck_bound(cand_cells, q.cells) > tau
-                || cell_bottleneck_bound(q.cells, cand_cells) > tau
-        }
-        DistanceFunction::Edr { .. } => bounds::length_bound_edr(cand_soa.len(), q.soa.len(), tau),
-        DistanceFunction::Erp { gap } => {
-            // Magnitude bound (Chen & Ng): ERP ≥ |Σ dist(t_i, g) − Σ dist(q_j, g)|.
-            let g = Point::new(gap.0, gap.1);
-            let to_gap =
-                |s: SoaView<'_>| -> f64 { (0..s.len()).map(|i| s.point(i).dist(&g)).sum() };
-            (to_gap(cand_soa) - to_gap(q.soa)).abs() > tau
-        }
-        _ => false,
+        f
     }
 }
 
+/// The cheap stages shared by both verification paths, cheapest first:
+/// counts and returns true when one proves the candidate outside the
+/// threshold.
+fn prefiltered(
+    cand_soa: SoaView<'_>,
+    cand_mbr: &Mbr,
+    q: &QuerySide<'_>,
+    tau: f64,
+    func: &DistanceFunction,
+    stats: &mut VerifyStats,
+) -> bool {
+    // Coverage is sound only where an alignment may not skip points.
+    if matches!(func, DistanceFunction::Dtw | DistanceFunction::Frechet)
+        && bounds::mbr_coverage_prune(cand_mbr, q.mbr, tau)
+    {
+        stats.pruned_coverage += 1;
+        return true;
+    }
+    let bound = match func {
+        DistanceFunction::Dtw => {
+            bounds::point_mbr_sum(q.soa, cand_mbr, tau) > tau
+                || bounds::point_mbr_sum(cand_soa, q.mbr, tau) > tau
+        }
+        DistanceFunction::Frechet => {
+            bounds::point_mbr_max(q.soa, cand_mbr, tau) > tau
+                || bounds::point_mbr_max(cand_soa, q.mbr, tau) > tau
+        }
+        DistanceFunction::Edr { .. } => bounds::length_bound_edr(cand_soa.len(), q.soa.len(), tau),
+        DistanceFunction::Erp { gap } => {
+            let cand_sum = bounds::dist_sum_to(cand_soa, &Point::new(gap.0, gap.1));
+            bounds::magnitude_bound_erp(cand_sum, cand_soa.len(), q.gap_sum, q.soa.len(), tau)
+        }
+        DistanceFunction::Lcss { .. } => false,
+    };
+    stats.pruned_bound += bound as usize;
+    bound
+}
+
 /// Verifies one candidate: returns `Some(distance)` iff
-/// `func(candidate, query) ≤ tau`. `cand_mbr`/`cand_cells` are the
-/// candidate's precomputed artifacts from the clustered index.
+/// `func(candidate, query) ≤ tau`. `cand_mbr` is the candidate's
+/// precomputed MBR from the clustered index.
 pub fn verify_pair(
     cand_points: &[Point],
     cand_mbr: &Mbr,
-    cand_cells: &CellList,
     q: &QueryContext,
     tau: f64,
     func: &DistanceFunction,
 ) -> Option<f64> {
     let soa = SoaPoints::from_points(cand_points);
-    if prefiltered(
-        soa.view(),
-        cand_mbr,
-        cand_cells.cells(),
-        &q.view(),
-        tau,
-        func,
-    ) {
+    let mut stats = VerifyStats::default();
+    if prefiltered(soa.view(), cand_mbr, &q.side(func), tau, func, &mut stats) {
         return None;
     }
     func.verify(cand_points, &q.points, tau)
 }
 
 /// Verifies one candidate against the query using the SoA band-pruned
-/// kernels — the allocation-free hot path. Same filter stages as
-/// [`verify_pair`]; `scratch` is reused across candidates.
+/// kernels. Same filter stages as [`verify_pair`]; `scratch` is reused
+/// across candidates. A caller with a whole list to verify prepares the
+/// query once instead ([`verify_candidates`]).
 pub fn verify_pair_soa(
     cand: CandidateView<'_>,
     q: &QueryContext,
@@ -211,29 +254,32 @@ pub fn verify_pair_soa(
     func: &DistanceFunction,
     scratch: &mut Scratch,
 ) -> Option<f64> {
-    verify_views(cand, q.view(), tau, func, scratch)
+    let mut stats = VerifyStats::default();
+    verify_views(cand, &q.side(func), tau, func, scratch, &mut stats)
 }
 
-/// [`verify_pair_soa`] with the query side borrowed as well: the join's
-/// shipped rows are stored trajectories, whose MBR, cells and coordinates
-/// are read where they lie instead of being copied into a
-/// [`QueryContext`] per row.
+/// One candidate against a prepared query side, counted into `stats` — the
+/// allocation-free hot path of search, overlay and join.
 pub(crate) fn verify_views(
     cand: CandidateView<'_>,
-    q: CandidateView<'_>,
+    q: &QuerySide<'_>,
     tau: f64,
     func: &DistanceFunction,
     scratch: &mut Scratch,
+    stats: &mut VerifyStats,
 ) -> Option<f64> {
-    if prefiltered(cand.soa, cand.mbr, cand.cells, &q, tau, func) {
+    stats.candidates += 1;
+    if prefiltered(cand.soa, cand.mbr, q, tau, func, stats) {
         return None;
     }
-    func.verify_soa(cand.soa, q.soa, tau, scratch)
+    let d = func.verify_soa(cand.soa, q.soa, tau, scratch);
+    stats.rejected_kernel += d.is_none() as usize;
+    d
 }
 
 /// Verifies a worker task's candidate list, returning `(id, distance)` hits
-/// in candidate order — the fallible form worker tasks run under
-/// [`dita_cluster::Cluster::execute_try`].
+/// in candidate order plus the list's stage counts — the fallible form
+/// worker tasks run under [`dita_cluster::Cluster::execute_try`].
 ///
 /// Candidate ids are validated up front: an out-of-range id (a corrupted
 /// candidate list) returns a [`TaskError`] that the executor's retry path
@@ -255,53 +301,53 @@ pub fn try_verify_candidates(
     tau: f64,
     func: &DistanceFunction,
     threads: usize,
-) -> Result<Vec<(TrajectoryId, f64)>, TaskError> {
+) -> Result<(Vec<(TrajectoryId, f64)>, VerifyStats), TaskError> {
     if let Some(&bad) = cands.iter().find(|&&c| trie.try_get(c).is_none()) {
         return Err(TaskError::new(format!(
             "candidate id {bad} out of range for a trie of {} entries",
             trie.len()
         )));
     }
-    let serial = |out: &mut Vec<(TrajectoryId, f64)>| {
+    let side = q.side(func);
+    let serial = || {
+        let mut out = Vec::new();
+        let mut stats = VerifyStats::default();
         let mut scratch = Scratch::new();
         for &c in cands {
             let e = trie.get(c);
-            if let Some(d) = verify_pair_soa(e.into(), q, tau, func, &mut scratch) {
+            if let Some(d) = verify_views(e.into(), &side, tau, func, &mut scratch, &mut stats) {
                 out.push((e.id(), d));
             }
         }
+        (out, stats)
     };
     if threads <= 1 || cands.len() < 2 {
-        let mut out = Vec::new();
-        serial(&mut out);
-        return Ok(out);
+        return Ok(serial());
     }
     let pool = match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
         Ok(p) => p,
-        Err(_) => {
-            // Pool creation can fail under resource limits; verification
-            // must still complete.
-            let mut out = Vec::new();
-            serial(&mut out);
-            return Ok(out);
-        }
+        // Pool creation can fail under resource limits; verification must
+        // still complete.
+        Err(_) => return Ok(serial()),
     };
 
-    let mut slots: Vec<Option<(TrajectoryId, f64)>> = vec![None; cands.len()];
-    let cpu_ns = AtomicU64::new(0);
     // ~4 chunks per thread: large enough to amortize spawn overhead, small
     // enough to smooth out uneven early-abandon costs.
     let chunk = cands.len().div_ceil(threads * 4).max(1);
+    let mut slots: Vec<Option<(TrajectoryId, f64)>> = vec![None; cands.len()];
+    let mut chunk_stats = vec![VerifyStats::default(); cands.len().div_ceil(chunk)];
+    let cpu_ns = AtomicU64::new(0);
     pool.scope(|s| {
-        for (part, out) in cands.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            let cpu_ns = &cpu_ns;
+        let parts = cands.chunks(chunk).zip(slots.chunks_mut(chunk));
+        for ((part, out), stats) in parts.zip(chunk_stats.iter_mut()) {
+            let (cpu_ns, side) = (&cpu_ns, &side);
             s.spawn(move |_| {
                 let t0 = thread_cpu_time();
                 let mut scratch = Scratch::new();
                 for (&c, slot) in part.iter().zip(out.iter_mut()) {
                     let e = trie.get(c);
-                    *slot =
-                        verify_pair_soa(e.into(), q, tau, func, &mut scratch).map(|d| (e.id(), d));
+                    *slot = verify_views(e.into(), side, tau, func, &mut scratch, stats)
+                        .map(|d| (e.id(), d));
                 }
                 let dt = thread_cpu_time().saturating_sub(t0);
                 cpu_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
@@ -311,12 +357,14 @@ pub fn try_verify_candidates(
     // Back on the worker thread: fold the pool's CPU time into this task's
     // compute cost.
     charge_compute(Duration::from_nanos(cpu_ns.load(Ordering::Relaxed)));
-    Ok(slots.into_iter().flatten().collect())
+    let mut stats = VerifyStats::default();
+    chunk_stats.iter().for_each(|s| stats.merge(s));
+    Ok((slots.into_iter().flatten().collect(), stats))
 }
 
-/// Infallible [`try_verify_candidates`] for driver-side overlays, benches
-/// and tests, where the candidate list comes straight from a trie probe
-/// and an out-of-range id is an immediate programming error.
+/// [`try_verify_candidates`]' hits alone, infallibly, for benches and
+/// tests, where the candidate list comes straight from a probe of the same
+/// trie and an out-of-range id is an immediate programming error.
 pub fn verify_candidates(
     trie: &TrieIndex,
     cands: &[u32],
@@ -328,19 +376,17 @@ pub fn verify_candidates(
     try_verify_candidates(trie, cands, q, tau, func, threads)
         // lint: allow(worker-panic, reason = "driver-side wrapper; worker tasks call try_verify_candidates under execute_try")
         .expect("candidate ids must be in range")
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dita_trajectory::trajectory::figure1_trajectories;
+    use dita_trajectory::Trajectory;
 
     fn ctx(points: &[Point]) -> QueryContext {
         QueryContext::new(points, 2.0)
-    }
-
-    fn artifacts(t: &Trajectory) -> (Mbr, CellList) {
-        (t.mbr(), CellList::compress(t, 2.0))
     }
 
     #[test]
@@ -355,12 +401,12 @@ mod tests {
         ];
         for f in fns {
             for a in &ts {
-                let (mbr, cells) = artifacts(a);
+                let mbr = a.mbr();
                 for b in &ts {
                     let q = ctx(b.points());
                     let d = f.distance(a.points(), b.points());
                     for tau in [0.5, 1.5, 3.0, 6.0] {
-                        match verify_pair(a.points(), &mbr, &cells, &q, tau, &f) {
+                        match verify_pair(a.points(), &mbr, &q, tau, &f) {
                             Some(v) => {
                                 assert!(d <= tau + 1e-9, "{f}: accepted d={d} tau={tau}");
                                 assert!((v - d).abs() < 1e-9);
@@ -389,23 +435,34 @@ mod tests {
                 (7.0, 5.0),
             ],
         );
-        let (mbr, cells) = artifacts(&ts[4]);
         let qc = ctx(q.points());
-        assert!(verify_pair(
-            ts[4].points(),
-            &mbr,
-            &cells,
-            &qc,
+        let dtw = DistanceFunction::Dtw;
+        assert!(verify_pair(ts[4].points(), &ts[4].mbr(), &qc, 3.0, &dtw).is_none());
+        let mut stats = VerifyStats::default();
+        let it = IndexedTrajectory::new(
+            ts[4].clone(),
+            2,
+            dita_index::PivotStrategy::NeighborDistance,
+            2.0,
+        );
+        let got = verify_views(
+            (&it).into(),
+            &qc.side(&dtw),
             3.0,
-            &DistanceFunction::Dtw
-        )
-        .is_none());
+            &dtw,
+            &mut Scratch::new(),
+            &mut stats,
+        );
+        assert_eq!(got, None);
+        assert_eq!((stats.candidates, stats.pruned_coverage), (1, 1));
     }
 
     #[test]
-    fn example_5_7_pruned_by_cell_bound() {
-        // Example 5.7: pruned by the cell lower bound (Cell(Q, T1) = 4 > 3)
-        // even though the pair's MBRs are compatible.
+    fn example_5_7_is_left_to_the_kernel() {
+        // Example 5.7's pair passes coverage, and the paper prunes it with
+        // the cell bound (Cell(Q, T1) = 4 > 3). Only one point of Q lies
+        // outside T1's MBR, by 1, so the point-to-MBR bound lets it through
+        // and the kernel rejects it.
         let ts = figure1_trajectories();
         let q = Trajectory::from_coords(
             10,
@@ -420,26 +477,41 @@ mod tests {
                 (5.0, 5.0),
             ],
         );
-        let (mbr, cells) = artifacts(&ts[0]);
         let qc = ctx(q.points());
-        assert!(verify_pair(
-            ts[0].points(),
-            &mbr,
-            &cells,
-            &qc,
+        let dtw = DistanceFunction::Dtw;
+        assert!(!bounds::mbr_coverage_prune(&ts[0].mbr(), qc.mbr(), 3.0));
+        let it = IndexedTrajectory::new(
+            ts[0].clone(),
+            2,
+            dita_index::PivotStrategy::NeighborDistance,
+            2.0,
+        );
+        let mut stats = VerifyStats::default();
+        let got = verify_views(
+            (&it).into(),
+            &qc.side(&dtw),
             3.0,
-            &DistanceFunction::Dtw
-        )
-        .is_none());
+            &dtw,
+            &mut Scratch::new(),
+            &mut stats,
+        );
+        assert_eq!(got, None);
+        assert_eq!(
+            (
+                stats.pruned_coverage,
+                stats.pruned_bound,
+                stats.rejected_kernel
+            ),
+            (0, 0, 1)
+        );
     }
 
     #[test]
     fn self_verification_always_passes() {
         let ts = figure1_trajectories();
         for t in &ts {
-            let (mbr, cells) = artifacts(t);
             let q = ctx(t.points());
-            let v = verify_pair(t.points(), &mbr, &cells, &q, 0.0, &DistanceFunction::Dtw);
+            let v = verify_pair(t.points(), &t.mbr(), &q, 0.0, &DistanceFunction::Dtw);
             assert_eq!(v, Some(0.0));
         }
     }
@@ -468,7 +540,7 @@ mod tests {
                 for b in &ts {
                     let q = ctx(b.points());
                     for tau in [0.5, 1.5, 3.0, 6.0] {
-                        let aos = verify_pair(a.points(), &it.mbr, &it.cells, &q, tau, &f);
+                        let aos = verify_pair(a.points(), &it.mbr, &q, tau, &f);
                         let soa = verify_pair_soa((&it).into(), &q, tau, &f, &mut scratch);
                         match (aos, soa) {
                             (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "{f}"),
@@ -497,13 +569,15 @@ mod tests {
         );
         let q = ctx(ts[0].points());
         let cands: Vec<u32> = (0..ts.len() as u32).collect();
-        let baseline = verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, 1);
-        assert!(!baseline.is_empty());
+        let counted = |threads| {
+            try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, threads)
+                .expect("every id is in range")
+        };
+        let baseline = counted(1);
+        assert!(!baseline.0.is_empty());
         for threads in [2usize, 4, 8] {
             for _ in 0..3 {
-                let got =
-                    verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, threads);
-                assert_eq!(got, baseline, "threads={threads}");
+                assert_eq!(counted(threads), baseline, "threads={threads}");
             }
         }
     }
@@ -536,11 +610,15 @@ mod tests {
         }
         // In-range ids still verify identically through the fallible path.
         let cands: Vec<u32> = (0..n).collect();
-        let ok = try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, 1)
+        let (ok, stats) = try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, 1)
             .expect("in-range candidates verify");
         assert_eq!(
             ok,
             verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, 1)
+        );
+        assert_eq!(
+            (stats.candidates, stats.accepted()),
+            (cands.len(), ok.len())
         );
     }
 }

@@ -117,15 +117,28 @@ fn filter_funnel_is_consistent_with_search_stats() {
     assert_eq!(funnel.stages[1].entered, funnel.stages[0].survivors());
     assert_eq!(funnel.stages[3].entered, funnel.stages[2].survivors());
 
-    // The registry mirror agrees with the in-band stats.
+    // Verification's funnel takes over where the trie's ends: it enters
+    // the candidates and its survivors are the answers.
+    let verify = stats.verify.funnel();
+    assert_eq!(verify.name, "verify-stages");
+    let names: Vec<&str> = verify.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["verify-coverage", "verify-bound", "verify-kernel"]);
+    assert_eq!(stats.verify.candidates, stats.candidates);
+    assert_eq!(verify.stages[0].entered as usize, stats.candidates);
+    assert_eq!(verify.survivors() as usize, stats.results);
+
+    // The registry mirror agrees with the in-band stats, funnel by funnel.
     let report = sys.obs().report();
-    let pruned_sum: f64 = report
-        .metrics
-        .iter()
-        .filter(|m| m.name == "dita_funnel_pruned_total")
-        .map(|m| m.value)
-        .sum();
-    assert_eq!(pruned_sum as u64, funnel.total_pruned());
+    for f in [&funnel, &verify] {
+        let pruned_sum: f64 = report
+            .metrics
+            .iter()
+            .filter(|m| m.name == "dita_funnel_pruned_total")
+            .filter(|m| m.labels.iter().any(|(k, v)| k == "funnel" && *v == f.name))
+            .map(|m| m.value)
+            .sum();
+        assert_eq!(pruned_sum as u64, f.total_pruned(), "{}", f.name);
+    }
     let candidates = report
         .metrics
         .iter()

@@ -32,7 +32,7 @@ pub mod function;
 pub mod kernel;
 pub mod lcss;
 
-pub use bounds::{amd, length_bound_edr, mbr_coverage_prune, pamd};
+pub use bounds::{amd, length_bound_edr, mbr_coverage_prune, pamd, point_mbr_max, point_mbr_sum};
 pub use dtw::{dtw, dtw_double_direction, dtw_threshold};
 pub use edr::{edr, edr_threshold};
 pub use erp::{erp, erp_threshold};

@@ -11,9 +11,9 @@
 use dita_distance::{
     amd, dtw, dtw_double_direction, dtw_soa, dtw_threshold, edr, edr_soa, edr_threshold, erp,
     erp_soa, erp_threshold, frechet, frechet_soa, frechet_threshold, lcss_distance,
-    lcss_distance_threshold, lcss_soa, pamd, Scratch,
+    lcss_distance_threshold, lcss_soa, pamd, point_mbr_max, point_mbr_sum, Scratch,
 };
-use dita_trajectory::{Point, SoaPoints};
+use dita_trajectory::{Mbr, Point, SoaPoints};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -24,8 +24,50 @@ fn arb_seq(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(arb_point(), 1..max_len)
 }
 
+/// Verification's comparison, as `core/src/verify.rs` writes it.
+fn prunes(bound: f64, tau: f64) -> bool {
+    bound > tau
+}
+
+/// The point-to-MBR bounds prune by `bound > tau`, so a NaN on either side
+/// of that comparison must leave the pair to the kernel.
+#[test]
+fn point_mbr_bounds_never_prune_on_nan() {
+    let far = SoaPoints::from_points(&[Point::new(100.0, 100.0), Point::new(200.0, 0.0)]);
+    let mbr = Mbr::from_points(&[Point::new(0.0, 0.0), Point::new(1.0, 1.0)]);
+    // Far outside at any finite threshold, negative ones included…
+    for tau in [0.0, 1.0, -1.0] {
+        assert!(prunes(point_mbr_sum(far.view(), &mbr, tau), tau));
+        assert!(prunes(point_mbr_max(far.view(), &mbr, tau), tau));
+    }
+    // …and never at a NaN one.
+    let nan = f64::NAN;
+    assert!(!prunes(point_mbr_sum(far.view(), &mbr, nan), nan));
+    assert!(!prunes(point_mbr_max(far.view(), &mbr, nan), nan));
+    // A NaN coordinate, in the points or in the rectangle, adds nothing
+    // that could prune on its own.
+    let holed = SoaPoints::from_points(&[Point::new(nan, 0.5), Point::new(0.5, nan)]);
+    assert!(!prunes(point_mbr_sum(holed.view(), &mbr, 1.0), 1.0));
+    assert!(!prunes(point_mbr_max(holed.view(), &mbr, 1.0), 1.0));
+    let inside = SoaPoints::from_points(&[Point::new(0.5, 0.5)]);
+    let broken = Mbr {
+        min: Point::new(nan, 0.0),
+        max: Point::new(1.0, nan),
+    };
+    assert!(!prunes(point_mbr_sum(inside.view(), &broken, 1.0), 1.0));
+    assert!(!prunes(point_mbr_max(inside.view(), &broken, 1.0), 1.0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn point_mbr_bounds_are_finite_for_finite_inputs(a in arb_seq(20), b in arb_seq(20)) {
+        let sa = SoaPoints::from_points(&a);
+        let mb = Mbr::from_points(&b);
+        prop_assert!(point_mbr_sum(sa.view(), &mb, f64::INFINITY).is_finite());
+        prop_assert!(point_mbr_max(sa.view(), &mb, f64::INFINITY).is_finite());
+    }
 
     #[test]
     fn kernels_never_emit_nan_for_finite_inputs(

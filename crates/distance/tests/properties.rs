@@ -2,9 +2,9 @@
 
 use dita_distance::{
     amd, dtw, dtw_double_direction, dtw_threshold, edr, edr_threshold, frechet, lcss_distance,
-    lcss_similarity, mbr_coverage_prune, pamd, DistanceFunction,
+    lcss_similarity, mbr_coverage_prune, pamd, point_mbr_max, point_mbr_sum, DistanceFunction,
 };
-use dita_trajectory::{CellList, Point, Trajectory};
+use dita_trajectory::{CellList, Mbr, Point, SoaPoints, Trajectory};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -15,8 +15,85 @@ fn arb_seq(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(arb_point(), 1..max_len)
 }
 
+/// The point-to-MBR bounds of `a` against `MBR(b)` (Lemma 5.4, point by
+/// point) may never exceed the plain O(mn) references — exactly, no
+/// tolerance — and may prune at no threshold at or above them.
+fn assert_point_mbr_sound(a: &[Point], b: &[Point]) {
+    let (d, f) = (dtw(a, b), frechet(a, b));
+    let sa = SoaPoints::from_points(a);
+    let mb = Mbr::from_points(b);
+    let sum = point_mbr_sum(sa.view(), &mb, f64::INFINITY);
+    let max = point_mbr_max(sa.view(), &mb, f64::INFINITY);
+    assert!(sum <= d, "sum {sum} > dtw {d}: {a:?} vs {b:?}");
+    assert!(max <= f, "max {max} > frechet {f}: {a:?} vs {b:?}");
+    // tau = 0, the kernel's own distance, one ulp either side, and far out.
+    for tau in [
+        0.0,
+        d.next_down(),
+        d,
+        d.next_up(),
+        f.next_down(),
+        f,
+        f.next_up(),
+        2.0 * d + 1.0,
+    ] {
+        let tau = tau.max(0.0);
+        // An abandoned scan is still a bound: above tau means above tau.
+        if point_mbr_sum(sa.view(), &mb, tau) > tau {
+            assert!(d > tau, "dtw {d} pruned at tau {tau}: {a:?} vs {b:?}");
+        }
+        if point_mbr_max(sa.view(), &mb, tau) > tau {
+            assert!(f > tau, "frechet {f} pruned at tau {tau}: {a:?} vs {b:?}");
+        }
+    }
+}
+
+/// The shapes random walks do not reach (ROADMAP item 3), every ordered
+/// pair of them.
+#[test]
+fn point_mbr_bounds_hold_on_adversarial_shapes() {
+    let p = Point::new;
+    let long: Vec<Point> = (0..40)
+        .map(|i| p((i % 7) as f64 - 3.0, (i / 7) as f64 - 3.0))
+        .collect();
+    let shapes: Vec<Vec<Point>> = vec![
+        // 1–3-point trajectories, one-point MBRs.
+        vec![p(0.0, 0.0)],
+        vec![p(0.5, -0.25)],
+        vec![p(0.0, 0.0), p(0.0, 0.0)],
+        vec![p(0.0, 0.0), p(3.0, 4.0)],
+        vec![p(1.0, 1.0), p(1.0, 1.0), p(1.0, 1.0)],
+        vec![p(-2.0, 0.1), p(0.3, 0.7), p(0.3, 0.7)],
+        // A long member wrapping a short query (and, as the other order of
+        // the pair, the reverse).
+        long.clone(),
+        vec![p(0.1, 0.1), p(0.2, -0.1)],
+        // Duplicates inside a longer run, and a degenerate (flat) MBR.
+        vec![
+            p(0.0, 0.0),
+            p(5.0, 0.0),
+            p(5.0, 0.0),
+            p(5.0, 0.0),
+            p(9.0, 0.0),
+        ],
+        // Coordinates whose differences are not exactly representable.
+        vec![p(0.1, 0.2), p(0.3, 0.30000000000000004), p(1e-9, -1e9)],
+    ];
+    for a in &shapes {
+        for b in &shapes {
+            assert_point_mbr_sound(a, b);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn point_mbr_bounds_are_sound(a in arb_seq(24), b in arb_seq(24)) {
+        assert_point_mbr_sound(&a, &b);
+        assert_point_mbr_sound(&b, &a);
+    }
 
     #[test]
     fn dtw_symmetric(a in arb_seq(24), b in arb_seq(24)) {

@@ -17,7 +17,7 @@
 //!   out in node order, so a record addresses its children and its members
 //!   as two `(first, len)` ranges: there is no id array to chase.
 //! * [`TrajStore`] — all member trajectories pooled into shared coordinate,
-//!   indexing-point, pivot and cell arenas with `u32` offset arrays, *in
+//!   indexing-point and pivot arenas with `u32` offset arrays, *in
 //!   leaf order*: member `i + 1` of a node lies right behind member `i` in
 //!   every arena, so a leaf's endpoint and pivot checks stream through
 //!   `ips` and its surviving candidates sit next to each other in `xs`/`ys`
@@ -32,7 +32,7 @@
 //! [`crate::trie::TrieConfig::build_threads`].
 
 use crate::trie::IndexedTrajectory;
-use dita_trajectory::{Cell, Mbr, Point, SoaView, Trajectory, TrajectoryId};
+use dita_trajectory::{Mbr, Point, SoaView, Trajectory, TrajectoryId};
 use serde::{Deserialize, Serialize};
 
 /// One fixed-width trie node record: 64 bytes, one cache line.
@@ -165,11 +165,6 @@ pub struct TrajStore {
     pivs: Vec<u32>,
     /// Whole-trajectory MBRs, one per member.
     mbrs: Vec<Mbr>,
-    /// Offsets into `cells` (Lemma 5.6 compression).
-    cell_off: Vec<u32>,
-    cells: Vec<Cell>,
-    /// The cell side length `D` shared by every member.
-    cell_side: f64,
 }
 
 impl TrajStore {
@@ -181,13 +176,12 @@ impl TrajStore {
     ///
     /// # Panics
     /// Panics unless `order` has one in-range entry per element of `data`.
-    pub fn from_indexed(data: Vec<IndexedTrajectory>, order: &[u32], cell_side: f64) -> Self {
+    pub fn from_indexed(data: Vec<IndexedTrajectory>, order: &[u32]) -> Self {
         let n = data.len();
         assert_eq!(order.len(), n, "one store slot per member");
         let total_pts: usize = data.iter().map(|d| d.traj.len()).sum();
         let total_ips: usize = data.iter().map(|d| d.index_points.len()).sum();
         let total_pivs: usize = data.iter().map(|d| d.pivots.len()).sum();
-        let total_cells: usize = data.iter().map(|d| d.cells.cells().len()).sum();
         assert!(
             total_pts <= u32::MAX as usize,
             "trajectory arena exceeds u32 offsets"
@@ -202,14 +196,10 @@ impl TrajStore {
             piv_off: Vec::with_capacity(n + 1),
             pivs: Vec::with_capacity(total_pivs),
             mbrs: Vec::with_capacity(n),
-            cell_off: Vec::with_capacity(n + 1),
-            cells: Vec::with_capacity(total_cells),
-            cell_side,
         };
         store.pt_off.push(0);
         store.ip_off.push(0);
         store.piv_off.push(0);
-        store.cell_off.push(0);
         for &o in order {
             let it = &data[o as usize];
             store.ids.push(it.traj.id);
@@ -222,8 +212,6 @@ impl TrajStore {
             store.pivs.extend(it.pivots.iter().map(|&p| p as u32));
             store.piv_off.push(store.pivs.len() as u32);
             store.mbrs.push(it.mbr);
-            store.cells.extend_from_slice(it.cells.cells());
-            store.cell_off.push(store.cells.len() as u32);
         }
         store
     }
@@ -260,11 +248,6 @@ impl TrajStore {
         (0..self.ids.len()).map(move |i| EntryRef { store: self, i })
     }
 
-    /// The shared cell side length `D`.
-    pub fn cell_side(&self) -> f64 {
-        self.cell_side
-    }
-
     /// Allocated heap bytes of every arena (capacity-honest).
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -276,9 +259,6 @@ impl TrajStore {
             + self.piv_off.capacity() * size_of::<u32>()
             + self.pivs.capacity() * size_of::<u32>()
             + self.mbrs.capacity() * size_of::<Mbr>()
-            + self.cell_off.capacity() * size_of::<u32>()
-            + self.cells.capacity() * size_of::<Cell>()
-            + size_of::<f64>()
     }
 
     /// The bytes holding raw trajectory payload (ids + coordinates) — the
@@ -368,17 +348,10 @@ impl<'a> EntryRef<'a> {
         &self.store.pivs[r]
     }
 
-    /// Whole-trajectory MBR (Lemma 5.4 coverage filtering).
+    /// Whole-trajectory MBR (Lemma 5.4 filtering).
     #[inline]
     pub fn mbr(&self) -> &'a Mbr {
         &self.store.mbrs[self.i]
-    }
-
-    /// Cell compression (Lemma 5.6 bounds), side [`TrajStore::cell_side`].
-    #[inline]
-    pub fn cells(&self) -> &'a [Cell] {
-        let r = self.store.cell_off[self.i] as usize..self.store.cell_off[self.i + 1] as usize;
-        &self.store.cells[r]
     }
 
     /// Shipment price of this trajectory: same semantics as
@@ -415,7 +388,7 @@ mod tests {
             .into_iter()
             .map(|t| IndexedTrajectory::new(t, 2, PivotStrategy::NeighborDistance, 2.0))
             .collect();
-        TrajStore::from_indexed(data, order, 2.0)
+        TrajStore::from_indexed(data, order)
     }
 
     fn store() -> TrajStore {
@@ -449,8 +422,6 @@ mod tests {
             assert_eq!(e.index_points(), &it.index_points[..]);
             let pivs: Vec<u32> = it.pivots.iter().map(|&p| p as u32).collect();
             assert_eq!(e.pivots(), &pivs[..]);
-            assert_eq!(e.cells(), it.cells.cells());
-            assert_eq!(s.cell_side(), it.cells.side());
         }
     }
 
@@ -466,7 +437,6 @@ mod tests {
             assert_eq!(e.index_points(), src.index_points());
             assert_eq!(e.pivots(), src.pivots());
             assert_eq!(e.mbr(), src.mbr());
-            assert_eq!(e.cells(), src.cells());
         }
         assert_eq!(s.size_bytes(), plain.size_bytes());
     }

@@ -135,7 +135,6 @@ impl PointerTrie {
                 d.pivots.capacity() * std::mem::size_of::<usize>()
                     + d.index_points.capacity() * std::mem::size_of::<Point>()
                     + std::mem::size_of::<Mbr>()
-                    + d.cells.size_bytes()
                     + d.soa.size_bytes()
             })
             .sum();

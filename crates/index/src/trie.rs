@@ -10,7 +10,7 @@
 //!
 //! The built tree is encoded succinctly (see [`crate::flat`]): one
 //! contiguous arena of fixed-width node records, and all member
-//! trajectories pooled into shared coordinate/pivot/cell arenas. The build
+//! trajectories pooled into shared coordinate/pivot arenas. The build
 //! numbers both from the tree: siblings get consecutive node ids, and local
 //! ids are handed out in the order in which nodes own members
 //! ([`build_pending`]), so a record addresses its children and its members
@@ -36,7 +36,7 @@ use crate::partitioner::str_tiles_pub as str_tiles;
 use crate::pivot::{select_pivots, PivotStrategy};
 use dita_distance::function::IndexMode;
 use dita_distance::DistanceFunction;
-use dita_trajectory::{CellList, Mbr, Point, SoaPoints, SoaView, Trajectory};
+use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, Trajectory};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +60,9 @@ pub struct TrieConfig {
     pub leaf_capacity: usize,
     /// Pivot selection strategy (paper finds Neighbor best).
     pub strategy: PivotStrategy,
-    /// Side length `D` of the verification cells (§5.3.3(2)).
+    /// Unread. It was the side length `D` of the verification cells
+    /// (§5.3.3(2)) while verification had a cell bound; it stays a field
+    /// only because the benchmark package reads it (ROADMAP item 2).
     pub cell_side: f64,
     /// Threads used for per-trajectory preprocessing and sibling-subtree
     /// construction; 1 builds serially on the calling thread. The built
@@ -85,7 +87,7 @@ impl Default for TrieConfig {
 }
 
 /// A preprocessed trajectory: the raw points plus every precomputed
-/// artifact verification needs (pivots, MBR, cells).
+/// artifact verification needs (pivots, MBR, SoA coordinates).
 ///
 /// This is the build-time intermediate (pooled into a [`TrajStore`] by
 /// [`TrieIndex::build`]) and the storage form of the unflushed ingestion
@@ -102,10 +104,8 @@ pub struct IndexedTrajectory {
     pub pivots: Vec<usize>,
     /// Indexing points: first, last, then pivot points.
     pub index_points: Vec<Point>,
-    /// Whole-trajectory MBR (for Lemma 5.4 coverage filtering).
+    /// Whole-trajectory MBR (for Lemma 5.4 filtering).
     pub mbr: Mbr,
-    /// Cell compression (for Lemma 5.6 bounds).
-    pub cells: CellList,
     /// Structure-of-arrays copy of the points, built once at indexing time
     /// so the verification kernels stream contiguous coordinates.
     pub soa: SoaPoints,
@@ -116,15 +116,14 @@ pub struct IndexedTrajectory {
     pub size_bytes: usize,
 }
 
-/// Serialized form of [`IndexedTrajectory`]: the original six fields; the
-/// cached size is derived on load.
+/// Serialized form of [`IndexedTrajectory`]: every field but the cached
+/// size, which is derived on load.
 #[derive(serde::Deserialize)]
 struct IndexedTrajectoryRepr {
     traj: Trajectory,
     pivots: Vec<usize>,
     index_points: Vec<Point>,
     mbr: Mbr,
-    cells: CellList,
     soa: SoaPoints,
 }
 
@@ -136,7 +135,6 @@ impl From<IndexedTrajectoryRepr> for IndexedTrajectory {
             pivots: r.pivots,
             index_points: r.index_points,
             mbr: r.mbr,
-            cells: r.cells,
             soa: r.soa,
             size_bytes,
         }
@@ -144,8 +142,9 @@ impl From<IndexedTrajectoryRepr> for IndexedTrajectory {
 }
 
 impl IndexedTrajectory {
-    /// Precomputes all indexing artifacts for `traj`.
-    pub fn new(traj: Trajectory, k: usize, strategy: PivotStrategy, cell_side: f64) -> Self {
+    /// Precomputes all indexing artifacts for `traj`. `_cell_side` is
+    /// unread, like [`TrieConfig::cell_side`], and goes with it.
+    pub fn new(traj: Trajectory, k: usize, strategy: PivotStrategy, _cell_side: f64) -> Self {
         let pivots = select_pivots(&traj, k, strategy);
         let mut index_points = Vec::with_capacity(2 + pivots.len());
         index_points.push(*traj.first());
@@ -157,7 +156,6 @@ impl IndexedTrajectory {
         }
         index_points.extend(pivots.iter().map(|&i| traj.points()[i]));
         let mbr = traj.mbr();
-        let cells = CellList::compress(&traj, cell_side);
         let soa = SoaPoints::from_points(traj.points());
         let size_bytes = traj.size_bytes();
         IndexedTrajectory {
@@ -165,7 +163,6 @@ impl IndexedTrajectory {
             pivots,
             index_points,
             mbr,
-            cells,
             soa,
             size_bytes,
         }
@@ -866,7 +863,7 @@ impl TrieIndex {
         let (data, order, pending, helper) = build_pending(trajectories, &config);
         let mut nodes = FlatNodes::with_capacity(count_pending(&pending));
         let roots = flatten(&mut nodes, pending).end;
-        let store = TrajStore::from_indexed(data, &order, config.cell_side);
+        let store = TrajStore::from_indexed(data, &order);
         let index = TrieIndex {
             config,
             nodes,
@@ -1111,7 +1108,7 @@ pub(crate) fn build_pending(
     };
     let helper_ns = AtomicU64::new(0);
 
-    // --- 1. Per-trajectory preprocessing (pivots, cells, SoA) ---
+    // --- 1. Per-trajectory preprocessing (pivots, MBR, SoA) ---
     let data: Vec<IndexedTrajectory> = match &pool {
         None => trajectories
             .into_iter()

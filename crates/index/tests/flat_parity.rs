@@ -150,7 +150,6 @@ proptest! {
             prop_assert_eq!(e.points_vec(), it.traj.points());
             prop_assert_eq!(e.index_points(), &it.index_points[..]);
             prop_assert_eq!(e.mbr(), &it.mbr);
-            prop_assert_eq!(e.cells(), it.cells.cells());
         }
     }
 }

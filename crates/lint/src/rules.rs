@@ -60,6 +60,17 @@ const TRIE_HOT_FNS: &[&str] = &[
     "try_get",
 ];
 
+/// `dita_distance::bounds` functions verification runs per candidate, on
+/// worker threads, from outside `core/src/verify.rs`.
+const BOUNDS_WORKER_FNS: &[&str] = &[
+    "mbr_coverage_prune",
+    "point_mbr_sum",
+    "point_mbr_max",
+    "length_bound_edr",
+    "dist_sum_to",
+    "magnitude_bound_erp",
+];
+
 /// Cluster task-closure call shapes: the closure argument of each of
 /// these runs on a simulated worker thread under `catch_unwind`.
 const EXECUTOR_CALLS: &[&str] = &[".execute(", ".execute_try(", ".execute_dynamic("];
@@ -170,10 +181,25 @@ fn l1_worker_panic(rel: &str, src: &str, masked: &str, out: &mut Vec<Finding>) {
     if rel == "crates/obs/src/sync.rs" {
         scopes.push((0..masked.len(), "ranked-lock layer"));
     }
-    if rel == "crates/index/src/trie.rs" || rel == "crates/index/src/pointer.rs" {
-        for f in fn_spans(masked) {
-            if TRIE_HOT_FNS.contains(&f.name.as_str()) {
-                scopes.push((f.start..f.end, "trie filter hot path"));
+    // Files where only the named functions run on worker threads.
+    let by_fn: [(&[&str], &[&str], &str); 2] = [
+        (
+            &["crates/index/src/trie.rs", "crates/index/src/pointer.rs"],
+            TRIE_HOT_FNS,
+            "trie filter hot path",
+        ),
+        (
+            &["crates/distance/src/bounds.rs"],
+            BOUNDS_WORKER_FNS,
+            "verification bound (worker path)",
+        ),
+    ];
+    for (files, fns, scope) in by_fn {
+        if files.contains(&rel) {
+            for f in fn_spans(masked) {
+                if fns.contains(&f.name.as_str()) {
+                    scopes.push((f.start..f.end, scope));
+                }
             }
         }
     }

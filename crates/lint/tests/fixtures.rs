@@ -45,6 +45,17 @@ pub fn build(x: Option<u32>) -> u32 { x.unwrap() }
 }
 
 #[test]
+fn l1_covers_the_bounds_verification_calls() {
+    let src = include_str!("../fixtures/l1_bounds_worker.rs");
+    let r = lint_source("crates/distance/src/bounds.rs", src);
+    // unwrap in point_mbr_sum, expect in magnitude_bound_erp; pamd is
+    // driver-side and stays out of scope.
+    assert_eq!(rule_lines(&r.findings, RULE_WORKER_PANIC), vec![6, 11]);
+    let r = lint_source("crates/distance/src/dtw.rs", src);
+    assert!(rule_lines(&r.findings, RULE_WORKER_PANIC).is_empty());
+}
+
+#[test]
 fn l2_fires_on_partial_cmp_ordering() {
     let src = include_str!("../fixtures/l2_nan_ordering.rs");
     let r = lint_source("crates/core/src/fixture.rs", src);

@@ -147,7 +147,8 @@ pub const SPAN_WORKER: &str = "worker";
 pub const SPAN_TASK: &str = "task";
 /// Trie candidate generation inside a search task.
 pub const SPAN_FILTER: &str = "filter";
-/// MBR/cell/kernel verification inside a search task.
+/// MBR coverage, point-to-MBR bound and kernel verification inside a
+/// search task.
 pub const SPAN_VERIFY: &str = "verify";
 /// Driver-side join operation span.
 pub const SPAN_JOIN: &str = "join";
@@ -204,6 +205,16 @@ pub const STAGE_LEAF_LENGTH: &str = "leaf-length";
 pub const STAGE_LEAF_OPAMD: &str = "leaf-opamd";
 /// Exact kernel checks over the unflushed delta tails.
 pub const STAGE_TAIL_EXACT: &str = "tail-exact";
+/// Verification's funnel: what became of every candidate a search
+/// verified (base tries, delta segments and tails).
+pub const FUNNEL_VERIFY: &str = "verify-stages";
+/// MBR coverage (Lemma 5.4); DTW and Fréchet only.
+pub const STAGE_VERIFY_COVERAGE: &str = "verify-coverage";
+/// The function's linear bound: point-to-MBR in both directions for DTW
+/// and Fréchet, length for EDR, magnitude for ERP.
+pub const STAGE_VERIFY_BOUND: &str = "verify-bound";
+/// The thresholded distance kernel; its survivors are the answers.
+pub const STAGE_VERIFY_KERNEL: &str = "verify-kernel";
 
 /// Every metric name declared in this module, for registry-level checks.
 pub const ALL_METRICS: &[&str] = &[
@@ -278,6 +289,10 @@ pub const ALL_FUNNEL_NAMES: &[&str] = &[
     STAGE_LEAF_LENGTH,
     STAGE_LEAF_OPAMD,
     STAGE_TAIL_EXACT,
+    FUNNEL_VERIFY,
+    STAGE_VERIFY_COVERAGE,
+    STAGE_VERIFY_BOUND,
+    STAGE_VERIFY_KERNEL,
 ];
 
 #[cfg(test)]
