@@ -1,9 +1,13 @@
-//! Experiment harness shared by the per-figure/per-table binaries.
+//! Experiment harness behind the one `exp` binary.
 //!
-//! Every binary in `src/bin/exp_*.rs` regenerates one table or figure of the
-//! paper (DESIGN.md §4 maps them). This library holds what they share:
-//! scaled dataset construction, the latency conventions, a column-aligned
-//! table printer and a JSON result sink.
+//! [`experiments::EXPERIMENTS`] holds one function per table or figure of
+//! the paper's evaluation (DESIGN.md §4 maps them). A function only
+//! *measures and records* rows `(system, dataset, params, metric, value)`
+//! into a [`Sink`]; the column-aligned table `exp` prints is a view over
+//! those rows ([`view::render`]) and `<dir>/<experiment>.json` is the same
+//! rows through `dita_obs::json`. This library holds what the experiments
+//! share: the two run-size settings, scaled datasets built once per
+//! process, the latency conventions (`runners.rs`) and the sink.
 //!
 //! # Latency convention
 //!
@@ -24,16 +28,17 @@
 
 #![warn(missing_docs)]
 
-pub mod runners;
+pub mod experiments;
+mod runners;
+pub mod view;
 
-use dita_cluster::{Cluster, ClusterConfig, JobStats};
+use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::DitaConfig;
 use dita_index::{PivotStrategy, TrieConfig};
-use dita_trajectory::Dataset;
-use serde::Serialize;
-use std::fmt::Display;
-use std::fs;
-use std::path::PathBuf;
+use dita_obs::json::{self, FromJson, Obj, ToJson, Value};
+use dita_trajectory::{Dataset, Trajectory};
+use std::cell::OnceCell;
+use std::path::{Path, PathBuf};
 
 /// Paper parameter table (Table 3), with defaults used across experiments.
 pub mod params {
@@ -47,51 +52,122 @@ pub mod params {
     pub const DEFAULT_WORKERS: usize = 8;
 }
 
-/// Global cardinality scale from `DITA_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    std::env::var("DITA_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+/// The two run-size settings (the third setting of `exp` is its output
+/// directory).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Settings {
+    /// Multiplies every dataset cardinality (`DITA_SCALE`, default 1.0).
+    pub scale: f64,
+    /// Queries per search workload (`DITA_QUERIES`, default 100; paper: 1000).
+    pub queries: usize,
 }
 
-/// Query count from `DITA_QUERIES` (default 100; paper: 1000).
-pub fn num_queries() -> usize {
-    std::env::var("DITA_QUERIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100)
+impl Settings {
+    /// Reads `DITA_SCALE` and `DITA_QUERIES`. A value that is set but is not
+    /// a usable number is an error, never the default: a full-scale run
+    /// where a smoke run was asked for is the worst reading of a typo.
+    pub fn from_env() -> Result<Settings, String> {
+        let var = |name: &str| std::env::var_os(name).map(|s| s.to_string_lossy().into_owned());
+        Settings::parse(var("DITA_SCALE").as_deref(), var("DITA_QUERIES").as_deref())
+    }
+
+    /// [`Settings::from_env`] on the two raw values (`None` = unset).
+    pub fn parse(scale: Option<&str>, queries: Option<&str>) -> Result<Settings, String> {
+        let scale = match scale {
+            None => 1.0,
+            Some(s) => match s.parse::<f64>() {
+                Ok(v) if v.is_finite() && v > 0.0 => v,
+                _ => return Err(format!("DITA_SCALE={s}: expected a positive number")),
+            },
+        };
+        let queries = match queries {
+            None => 100,
+            Some(s) => match s.parse::<usize>() {
+                Ok(v) if v > 0 => v,
+                _ => return Err(format!("DITA_QUERIES={s}: expected a positive integer")),
+            },
+        };
+        Ok(Settings { scale, queries })
+    }
 }
 
-fn scaled(base: usize) -> usize {
-    ((base as f64) * scale()).round().max(16.0) as usize
+/// A seeded dataset generator: `(cardinality, seed)`.
+type Generator = fn(usize, u64) -> Dataset;
+
+/// The harness datasets: name, generator, base cardinality at scale 1, seed.
+/// Beijing is the smaller taxi dataset, Chengdu has ~1.25× its cardinality
+/// and longer trajectories, the OSM join set is roughly half the search one
+/// (Table 2), and Chengdu(tiny) is the centralized dataset of Table 6.
+pub(crate) const DATASETS: [(&str, Generator, usize, u64); 5] = [
+    ("beijing", dita_datagen::beijing_like, 40_000, 0xBEEF),
+    ("chengdu", dita_datagen::chengdu_like, 50_000, 0xC0FFEE),
+    ("osm_search", dita_datagen::osm_like, 15_000, 0x05A1),
+    ("osm_join", dita_datagen::osm_like, 8_000, 0x05A2),
+    ("chengdu_tiny", dita_datagen::chengdu_tiny, 3_000, 0x717),
+];
+
+/// What every experiment runs against: the settings and the datasets of
+/// `DATASETS`, each generated on first use and kept, so `exp all` builds
+/// a dataset once however many figures read it.
+pub struct Harness {
+    /// The run-size settings.
+    pub settings: Settings,
+    data: [OnceCell<Dataset>; 5],
 }
 
-/// Beijing-like dataset at harness scale (base 40,000 trajectories,
-/// mirroring Beijing being the smaller taxi dataset).
-pub fn beijing() -> Dataset {
-    dita_datagen::beijing_like(scaled(40_000), 0xBEEF)
-}
+impl Harness {
+    /// A harness with nothing generated yet.
+    pub fn new(settings: Settings) -> Harness {
+        Harness {
+            settings,
+            data: Default::default(),
+        }
+    }
 
-/// Chengdu-like dataset at harness scale (base 16,000; the paper's Chengdu
-/// has ~1.4× Beijing's cardinality and longer trajectories).
-pub fn chengdu() -> Dataset {
-    dita_datagen::chengdu_like(scaled(50_000), 0xC0FFEE)
-}
+    /// `base × DITA_SCALE`, at least 16.
+    pub fn scaled(&self, base: usize) -> usize {
+        ((base as f64) * self.settings.scale).round().max(16.0) as usize
+    }
 
-/// OSM-like search dataset (base 6,000 long worldwide trajectories).
-pub fn osm_search() -> Dataset {
-    dita_datagen::osm_like(scaled(15_000), 0x05A1)
-}
+    /// `DATASETS[i]` at harness scale.
+    pub(crate) fn dataset(&self, i: usize) -> &Dataset {
+        self.data[i].get_or_init(|| {
+            let (name, generate, base, seed) = DATASETS[i];
+            let dataset = generate(self.scaled(base), seed);
+            eprintln!("dataset {name}: {}", dataset.stats());
+            dataset
+        })
+    }
 
-/// OSM-like join dataset (roughly half of the search one, as in Table 2).
-pub fn osm_join() -> Dataset {
-    dita_datagen::osm_like(scaled(8_000), 0x05A2)
-}
+    /// Beijing-like taxi trips.
+    pub fn beijing(&self) -> &Dataset {
+        self.dataset(0)
+    }
 
-/// Chengdu(tiny) centralized dataset (Table 6; base 2,000).
-pub fn chengdu_tiny() -> Dataset {
-    dita_datagen::chengdu_tiny(scaled(3_000), 0x717)
+    /// Chengdu-like taxi trips.
+    pub fn chengdu(&self) -> &Dataset {
+        self.dataset(1)
+    }
+
+    /// OSM-like long worldwide traces, the search set.
+    pub fn osm_search(&self) -> &Dataset {
+        self.dataset(2)
+    }
+
+    /// OSM-like traces, the join set.
+    pub fn osm_join(&self) -> &Dataset {
+        self.dataset(3)
+    }
+
+    /// Chengdu(tiny), the centralized dataset.
+    pub fn chengdu_tiny(&self) -> &Dataset {
+        self.dataset(4)
+    }
+
+    /// The search workload over `dataset`: `DITA_QUERIES` sampled queries.
+    pub fn queries(&self, dataset: &Dataset) -> Vec<Trajectory> {
+        dita_datagen::sample_queries(dataset, self.settings.queries, 0xA11CE)
+    }
 }
 
 /// The DITA configuration used by the experiments (Table 3 defaults scaled
@@ -134,77 +210,63 @@ pub fn cluster(workers: usize) -> Cluster {
     Cluster::new(config)
 }
 
-/// Milliseconds of one job's simulated makespan.
-pub fn makespan_ms(job: &JobStats) -> f64 {
-    job.makespan_sec() * 1e3
+/// A parameter map (`tau`, `workers`, ...) for [`Sink::at`], keys
+/// sorted so a file does not depend on the order they were written in.
+pub fn params(fields: &[(&str, &dyn ToJson)]) -> Value {
+    let mut fields: Vec<(String, Value)> = fields
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_json()))
+        .collect();
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    Value::Obj(fields)
 }
 
-/// A column-aligned table printer matching the rows the paper reports.
-pub struct Table {
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Starts a table with a title and column names.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row (stringified cells).
-    pub fn row(&mut self, cells: &[&dyn Display]) {
-        assert_eq!(cells.len(), self.header.len());
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        println!("\n=== {} ===", self.title);
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let mut s = String::new();
-            for (w, cell) in widths.iter().zip(cells) {
-                s.push_str(&format!("{cell:>w$}  ", w = w));
-            }
-            println!("{}", s.trim_end());
-        };
-        line(&self.header);
-        line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
-/// One machine-readable measurement row.
-#[derive(Debug, Serialize)]
+/// One measurement row — the schema of `results/*.json`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
-    /// Experiment id, e.g. `"fig7a"`.
+    /// Experiment id, e.g. `"fig7"`.
     pub experiment: String,
     /// System under test, e.g. `"dita"`.
     pub system: String,
     /// Dataset name.
     pub dataset: String,
-    /// Free-form parameter map (tau, workers, ...).
-    pub params: serde_json::Value,
+    /// Parameter map (tau, workers, ...), a JSON object.
+    pub params: Value,
     /// Metric name, e.g. `"search_ms"`.
     pub metric: String,
     /// The value.
     pub value: f64,
 }
 
-/// Collects measurements and writes `results/<experiment>.json` on drop.
+impl ToJson for Measurement {
+    fn to_json(&self) -> Value {
+        Obj::new()
+            .field("experiment", &self.experiment)
+            .field("system", &self.system)
+            .field("dataset", &self.dataset)
+            .field("params", &self.params)
+            .field("metric", &self.metric)
+            .field("value", &self.value)
+            .build()
+    }
+}
+
+impl FromJson for Measurement {
+    fn from_json(v: &Value) -> json::Result<Measurement> {
+        Ok(Measurement {
+            experiment: v.req("experiment")?,
+            system: v.req("system")?,
+            dataset: v.req("dataset")?,
+            params: v.req("params")?,
+            metric: v.req("metric")?,
+            value: v.req("value")?,
+        })
+    }
+}
+
+/// Collects one experiment's measurements. Nothing reaches the disk until
+/// [`Sink::write`] is called, so an experiment that panics half-way leaves
+/// the file of an earlier run as it was.
 pub struct Sink {
     experiment: String,
     rows: Vec<Measurement>,
@@ -219,48 +281,58 @@ impl Sink {
         }
     }
 
-    /// Records one measurement.
-    pub fn record(
-        &mut self,
-        system: &str,
-        dataset: &str,
-        params: serde_json::Value,
-        metric: &str,
-        value: f64,
-    ) {
-        self.rows.push(Measurement {
-            experiment: self.experiment.clone(),
-            system: system.into(),
-            dataset: dataset.into(),
+    /// Opens one point of a series — a dataset and a parameter map from
+    /// [`params`] — for recording, so neither is written twice.
+    pub fn at<'a>(&'a mut self, dataset: &'a str, params: Value) -> At<'a> {
+        At {
+            sink: self,
+            dataset,
             params,
+        }
+    }
+
+    /// The measurements recorded so far, in order.
+    pub fn rows(&self) -> &[Measurement] {
+        &self.rows
+    }
+
+    /// Writes `<dir>/<experiment>.json`, creating `dir`, and returns the path.
+    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.json", self.experiment));
+        std::fs::write(&path, self.rows.to_json().pretty() + "\n")?;
+        Ok(path)
+    }
+}
+
+/// One point of a series, open for recording ([`Sink::at`]).
+pub struct At<'a> {
+    sink: &'a mut Sink,
+    dataset: &'a str,
+    params: Value,
+}
+
+impl At<'_> {
+    /// Records `system`'s `metric` at this point.
+    pub fn record(&mut self, system: &str, metric: &str, value: f64) {
+        self.sink.rows.push(Measurement {
+            experiment: self.sink.experiment.clone(),
+            system: system.into(),
+            dataset: self.dataset.into(),
+            params: self.params.clone(),
             metric: metric.into(),
             value,
         });
     }
-
-    /// Writes the JSON file (best-effort; failures print a warning).
-    pub fn flush(&self) {
-        let dir = PathBuf::from("results");
-        if fs::create_dir_all(&dir).is_err() {
-            eprintln!("warning: cannot create results/");
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.experiment));
-        match serde_json::to_vec_pretty(&self.rows) {
-            Ok(bytes) => {
-                if fs::write(&path, bytes).is_err() {
-                    eprintln!("warning: cannot write {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: serialize failed: {e}"),
-        }
-    }
 }
 
-impl Drop for Sink {
-    fn drop(&mut self) {
-        self.flush();
-    }
+/// Reads a result file back: the rows a [`Sink`] wrote, or a committed
+/// `results/<experiment>.json`.
+pub fn read_results(path: &Path) -> Result<Vec<Measurement>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Value::parse(&text)
+        .and_then(|v| Vec::<Measurement>::from_json(&v))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -269,15 +341,34 @@ mod tests {
 
     #[test]
     fn scaled_respects_minimum() {
-        assert!(scaled(10) >= 16);
+        let h = Harness::new(Settings::parse(Some("0.0001"), None).unwrap());
+        assert_eq!(h.scaled(10), 16);
+        assert_eq!(
+            Harness::new(Settings::parse(None, None).unwrap()).scaled(40_000),
+            40_000
+        );
     }
 
     #[test]
-    fn table_prints_without_panic() {
-        let mut t = Table::new("demo", &["tau", "ms"]);
-        t.row(&[&0.001, &12.5]);
-        t.row(&[&0.002, &13.0]);
-        t.print();
+    fn unusable_settings_are_errors_not_defaults() {
+        let defaults = Settings {
+            scale: 1.0,
+            queries: 100,
+        };
+        assert_eq!(Settings::parse(None, None), Ok(defaults));
+        let smoke = Settings {
+            scale: 0.01,
+            queries: 2,
+        };
+        assert_eq!(Settings::parse(Some("0.01"), Some("2")), Ok(smoke));
+        for bad in ["abc", "", "0", "-1", "nan", "inf"] {
+            let err = Settings::parse(Some(bad), None).unwrap_err();
+            assert!(err.contains("DITA_SCALE"), "{err}");
+        }
+        for bad in ["abc", "", "0", "-3", "1.5"] {
+            let err = Settings::parse(None, Some(bad)).unwrap_err();
+            assert!(err.contains("DITA_QUERIES"), "{err}");
+        }
     }
 
     #[test]
@@ -289,21 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn sink_writes_json() {
+    fn sink_round_trips_through_dita_obs_json() {
         let mut s = Sink::new("unit-test-sink");
-        s.record(
-            "dita",
-            "beijing",
-            serde_json::json!({"tau": 0.001}),
-            "ms",
-            1.0,
-        );
-        // Drop flushes: read only after it, and clean up before asserting,
-        // so neither a late flush nor a failure leaves a file in the tree.
-        drop(s);
-        let text = std::fs::read_to_string("results/unit-test-sink.json");
-        let _ = std::fs::remove_file("results/unit-test-sink.json");
-        let _ = std::fs::remove_dir("results");
-        assert!(text.unwrap().contains("unit-test-sink"));
+        let at = params(&[("tau", &0.001), ("panel", &"a")]);
+        // Keys are sorted, as in the committed files.
+        assert_eq!(at, params(&[("panel", &"a"), ("tau", &0.001)]));
+        s.at("beijing", at).record("dita", "ms", 1.25);
+        s.at("chengdu-tiny", params(&[]))
+            .record("VP-Tree", "index_kb", 3995.34375);
+        let dir = std::env::temp_dir().join(format!("dita-sink-{}", std::process::id()));
+        let path = s.write(&dir).expect("the temp dir is writable");
+        let back = read_results(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(back.as_deref(), Ok(s.rows()));
     }
 }

@@ -1,445 +1,191 @@
-//! Shared system construction and measurement wrappers for the experiment
-//! binaries.
+//! Shared system construction and the latency conventions, plus the two
+//! four-panel figure layouts (Figures 7/8 and 9/10).
 
-use crate::{cluster, dita_config, makespan_ms};
+use crate::{cluster, default_ng, dita_config, params, At, Harness, Sink};
 use dita_baselines::{DftSystem, NaiveSystem, SimbaSystem};
-use dita_cluster::Cluster;
-use dita_core::{join, search, DitaSystem, JoinOptions};
+use dita_cluster::JobStats;
+use dita_core::{join, search, DitaSystem, JoinOptions, JoinStats};
 use dita_distance::DistanceFunction;
+use dita_obs::json::Value;
 use dita_trajectory::{Dataset, Point, Trajectory};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Simulated milliseconds of one operation that took `wall` on this host
+/// and ran `jobs` on the simulated cluster: the driver-side wall time
+/// (planning, merging — everything outside the jobs) plus each job's
+/// makespan. Several jobs are sequential: a driver barrier separates them.
+pub fn simulated_ms(wall: Duration, jobs: &[JobStats]) -> f64 {
+    let in_jobs: Duration = jobs.iter().map(|j| j.elapsed).sum();
+    let makespans: f64 = jobs.iter().map(|j| j.makespan_sec()).sum();
+    (wall.saturating_sub(in_jobs).as_secs_f64() + makespans) * 1e3
+}
+
+/// Mean simulated ms per query of `one` (a search returning its jobs) over
+/// a query workload.
+pub fn mean_search_ms(
+    queries: &[Trajectory],
+    mut one: impl FnMut(&[Point]) -> Vec<JobStats>,
+) -> f64 {
+    let mut total = 0.0;
+    for q in queries {
+        let t0 = Instant::now();
+        let jobs = one(q.points());
+        total += simulated_ms(t0.elapsed(), &jobs);
+    }
+    total / queries.len().max(1) as f64
+}
 
 /// The four distributed systems of Figures 7–8, built over the same data
 /// and the same cluster.
 pub struct SearchSystems {
-    /// DITA.
-    pub dita: DitaSystem,
-    /// The no-index baseline.
-    pub naive: NaiveSystem,
-    /// The Simba-style baseline.
-    pub simba: SimbaSystem,
-    /// The DFT-style baseline.
-    pub dft: DftSystem,
+    dita: DitaSystem,
+    naive: NaiveSystem,
+    simba: SimbaSystem,
+    dft: DftSystem,
 }
 
-/// Builds all four systems with comparable partition counts.
-pub fn build_search_systems(dataset: &Dataset, workers: usize, ng: usize) -> SearchSystems {
-    let c: Cluster = cluster(workers);
-    let dita = DitaSystem::build(dataset, dita_config(ng), c.clone());
-    let parts = dita.num_partitions().max(1);
-    SearchSystems {
-        naive: NaiveSystem::build(dataset.trajectories(), c.clone()),
-        simba: SimbaSystem::build(dataset.trajectories(), parts, c.clone()),
-        dft: DftSystem::build(dataset.trajectories(), parts, c),
-        dita,
-    }
-}
-
-/// Mean per-query search latency (simulated ms) and mean candidate count of
-/// one system over a query workload.
-pub fn measure_search(
-    systems: &SearchSystems,
-    which: &str,
-    queries: &[Trajectory],
-    tau: f64,
-    func: &DistanceFunction,
-) -> (f64, f64) {
-    let mut total_ms = 0.0;
-    let mut total_cands = 0usize;
-    for q in queries {
-        // Latency convention: driver-side wall time (planning, merging)
-        // plus the simulated worker makespan(s).
-        let t0 = Instant::now();
-        match which {
-            "dita" => {
-                let (_, s) = search(&systems.dita, q.points(), tau, func);
-                let driver = (t0.elapsed() - s.job.elapsed).as_secs_f64().max(0.0);
-                total_ms += driver * 1e3 + makespan_ms(&s.job);
-                total_cands += s.candidates;
-            }
-            "naive" => {
-                let (_, job) = systems.naive.search(q.points(), tau, func);
-                let driver = (t0.elapsed() - job.elapsed).as_secs_f64().max(0.0);
-                total_ms += driver * 1e3 + makespan_ms(&job);
-                total_cands += systems.naive.len();
-            }
-            "simba" => {
-                let (_, c, job) = systems.simba.search(q.points(), tau, func);
-                let driver = (t0.elapsed() - job.elapsed).as_secs_f64().max(0.0);
-                total_ms += driver * 1e3 + makespan_ms(&job);
-                total_cands += c;
-            }
-            "dft" => {
-                let (_, c, filter, verify) = systems.dft.search(q.points(), tau, func);
-                // The driver barrier makes the two phases sequential, and
-                // the bitmap merge is driver work between them.
-                let driver = (t0.elapsed() - filter.elapsed - verify.elapsed)
-                    .as_secs_f64()
-                    .max(0.0);
-                total_ms += driver * 1e3 + makespan_ms(&filter) + makespan_ms(&verify);
-                total_cands += c;
-            }
-            other => panic!("unknown system {other}"),
+impl SearchSystems {
+    /// Builds all four systems with comparable partition counts.
+    pub fn build(dataset: &Dataset, workers: usize, ng: usize) -> SearchSystems {
+        let c = cluster(workers);
+        let dita = DitaSystem::build(dataset, dita_config(ng), c.clone());
+        let parts = dita.num_partitions().max(1);
+        SearchSystems {
+            naive: NaiveSystem::build(dataset.trajectories(), c.clone()),
+            simba: SimbaSystem::build(dataset.trajectories(), parts, c.clone()),
+            dft: DftSystem::build(dataset.trajectories(), parts, c),
+            dita,
         }
     }
-    let n = queries.len().max(1) as f64;
-    (total_ms / n, total_cands as f64 / n)
+
+    /// Records each system's mean per-query search latency (simulated ms)
+    /// at one point of a figure, in the figures' order.
+    pub fn record(&self, at: &mut At, queries: &[Trajectory], tau: f64, func: &DistanceFunction) {
+        let Self {
+            dita,
+            naive,
+            simba,
+            dft,
+        } = self;
+        let ms = mean_search_ms(queries, |q| vec![naive.search(q, tau, func).1]);
+        at.record("naive", "search_ms", ms);
+        let ms = mean_search_ms(queries, |q| vec![simba.search(q, tau, func).2]);
+        at.record("simba", "search_ms", ms);
+        // DFT's driver barrier makes its two phases sequential, and the
+        // bitmap merge is driver work between them.
+        let ms = mean_search_ms(queries, |q| {
+            let (_, _, filter, verify) = dft.search(q, tau, func);
+            vec![filter, verify]
+        });
+        at.record("dft", "search_ms", ms);
+        let ms = mean_search_ms(queries, |q| vec![search(dita, q, tau, func).1.job]);
+        at.record("dita", "search_ms", ms);
+    }
 }
 
-/// DITA join latency in simulated ms: driver-side planning wall time plus
-/// the execution makespan.
-pub fn measure_dita_join(
-    left: &DitaSystem,
-    right: &DitaSystem,
+/// DITA self-join latency in simulated ms, with the join's statistics.
+pub fn dita_join_ms(
+    sys: &DitaSystem,
     tau: f64,
     func: &DistanceFunction,
     opts: &JoinOptions,
-) -> (usize, f64, dita_core::JoinStats) {
+) -> (f64, JoinStats) {
     let t0 = Instant::now();
-    let (pairs, stats) = join(left, right, tau, func, opts);
-    let wall = t0.elapsed().as_secs_f64();
-    let driver = (wall - stats.job.elapsed.as_secs_f64()).max(0.0);
-    let ms = (driver + stats.job.makespan_sec()) * 1e3;
-    (pairs.len(), ms, stats)
+    let (_, stats) = join(sys, sys, tau, func, opts);
+    (
+        simulated_ms(t0.elapsed(), std::slice::from_ref(&stats.job)),
+        stats,
+    )
 }
 
-/// Simba join latency in simulated ms (same convention).
-pub fn measure_simba_join(
-    left: &SimbaSystem,
-    right: &SimbaSystem,
-    tau: f64,
-    func: &DistanceFunction,
-) -> (usize, f64) {
+/// Simba self-join latency in simulated ms (same convention).
+pub fn simba_join_ms(sys: &SimbaSystem, tau: f64, func: &DistanceFunction) -> f64 {
     let t0 = Instant::now();
-    let (pairs, _cands, job) = left.join(right, tau, func);
-    let wall = t0.elapsed().as_secs_f64();
-    let driver = (wall - job.elapsed.as_secs_f64()).max(0.0);
-    ((pairs.len()), (driver + job.makespan_sec()) * 1e3)
+    let (_, _, job) = sys.join(sys, tau, func);
+    simulated_ms(t0.elapsed(), &[job])
 }
 
-/// Extracts the raw point sequences of a query set.
-pub fn query_points(queries: &[Trajectory]) -> Vec<Vec<Point>> {
-    queries.iter().map(|q| q.points().to_vec()).collect()
+/// The points of a four-panel figure as `(sample rate, workers, τ, params)`:
+/// (a) the τ sweep, (b) the sample-rate sweep, (c) scale-up over workers,
+/// (d) scale-out, rate and workers growing together; (b)–(d) at the
+/// figure's default τ.
+fn figure_points(default_tau: f64) -> Vec<(f64, usize, f64, Value)> {
+    use crate::params::{DEFAULT_WORKERS, SAMPLE_RATES, TAUS, WORKERS};
+    let mut points = Vec::new();
+    for tau in TAUS {
+        let at = params(&[("tau", &tau), ("panel", &"a")]);
+        points.push((1.0, DEFAULT_WORKERS, tau, at));
+    }
+    for rate in SAMPLE_RATES {
+        let at = params(&[("rate", &rate), ("panel", &"b")]);
+        points.push((rate, DEFAULT_WORKERS, default_tau, at));
+    }
+    for workers in WORKERS {
+        let at = params(&[("workers", &workers), ("panel", &"c")]);
+        points.push((1.0, workers, default_tau, at));
+    }
+    for (rate, workers) in SAMPLE_RATES.into_iter().zip(WORKERS) {
+        let at = params(&[("rate", &rate), ("workers", &workers), ("panel", &"d")]);
+        points.push((rate, workers, default_tau, at));
+    }
+    points
 }
 
-/// Regenerates one full search figure (the Figures 7/8 layout): four panels
-/// — τ sweep, sample-rate sweep, worker (scale-up) sweep and the combined
-/// scale-out sweep — for Naive, Simba, DFT and DITA.
-pub fn run_search_figure(figure: &str, dataset: &Dataset, default_tau: f64) {
-    use crate::{num_queries, params, Sink, Table};
-    let ng = crate::default_ng(&dataset.name);
-    let systems_names = ["naive", "simba", "dft", "dita"];
-    let mut sink = Sink::new(figure);
-    let queries = dita_datagen::sample_queries(dataset, num_queries(), 0xA11CE);
-
-    // (a) Varying τ.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(a): search on {} — varying tau (ms/query)",
-            dataset.name
-        ),
-        &["tau", "Naive", "Simba", "DFT", "DITA"],
-    );
-    let systems = build_search_systems(dataset, params::DEFAULT_WORKERS, ng);
-    for tau in params::TAUS {
-        let mut cells: Vec<f64> = Vec::new();
-        for name in systems_names {
-            let (ms, _) = measure_search(&systems, name, &queries, tau, &DistanceFunction::Dtw);
-            sink.record(
-                name,
-                &dataset.name,
-                serde_json::json!({"tau": tau, "panel": "a"}),
-                "search_ms",
-                ms,
-            );
-            cells.push(ms);
+/// Walks [`figure_points`], calling `build` whenever the sample or the
+/// worker count differs from the previous point's and `measure` at every
+/// point.
+fn four_panels<S>(
+    sink: &mut Sink,
+    dataset: &Dataset,
+    default_tau: f64,
+    build: impl Fn(&Dataset, usize) -> S,
+    measure: impl Fn(&S, f64, &mut At),
+) {
+    let mut built: Option<(f64, usize, S)> = None;
+    for (rate, workers, tau, at) in figure_points(default_tau) {
+        if !matches!(&built, Some((r, w, _)) if *r == rate && *w == workers) {
+            drop(built.take()); // free the previous systems before building the next
+            built = Some((rate, workers, build(&dataset.sample(rate), workers)));
         }
-        tbl.row(&[
-            &format!("{tau}"),
-            &format!("{:.3}", cells[0]),
-            &format!("{:.3}", cells[1]),
-            &format!("{:.3}", cells[2]),
-            &format!("{:.3}", cells[3]),
-        ]);
+        let (_, _, systems) = built.as_ref().expect("built just above");
+        measure(systems, tau, &mut sink.at(&dataset.name, at));
     }
-    tbl.print();
-
-    // (b) Scalability: sample-rate sweep at the default τ.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(b): search on {} — varying sample rate (ms/query)",
-            dataset.name
-        ),
-        &["rate", "Naive", "Simba", "DFT", "DITA"],
-    );
-    for rate in params::SAMPLE_RATES {
-        let sampled = dataset.sample(rate);
-        let systems = build_search_systems(&sampled, params::DEFAULT_WORKERS, ng);
-        let qs = dita_datagen::sample_queries(&sampled, num_queries(), 0xA11CE);
-        let mut cells = Vec::new();
-        for name in systems_names {
-            let (ms, _) = measure_search(&systems, name, &qs, default_tau, &DistanceFunction::Dtw);
-            sink.record(
-                name,
-                &dataset.name,
-                serde_json::json!({"rate": rate, "panel": "b"}),
-                "search_ms",
-                ms,
-            );
-            cells.push(ms);
-        }
-        tbl.row(&[
-            &format!("{rate}"),
-            &format!("{:.3}", cells[0]),
-            &format!("{:.3}", cells[1]),
-            &format!("{:.3}", cells[2]),
-            &format!("{:.3}", cells[3]),
-        ]);
-    }
-    tbl.print();
-
-    // (c) Scale-up: worker sweep.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(c): search on {} — varying workers (ms/query)",
-            dataset.name
-        ),
-        &["workers", "Naive", "Simba", "DFT", "DITA"],
-    );
-    for workers in params::WORKERS {
-        let systems = build_search_systems(dataset, workers, ng);
-        let mut cells = Vec::new();
-        for name in systems_names {
-            let (ms, _) = measure_search(
-                &systems,
-                name,
-                &queries,
-                default_tau,
-                &DistanceFunction::Dtw,
-            );
-            sink.record(
-                name,
-                &dataset.name,
-                serde_json::json!({"workers": workers, "panel": "c"}),
-                "search_ms",
-                ms,
-            );
-            cells.push(ms);
-        }
-        tbl.row(&[
-            &format!("{workers}"),
-            &format!("{:.3}", cells[0]),
-            &format!("{:.3}", cells[1]),
-            &format!("{:.3}", cells[2]),
-            &format!("{:.3}", cells[3]),
-        ]);
-    }
-    tbl.print();
-
-    // (d) Scale-out: rate and workers grow together.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(d): search on {} — scale-out (ms/query)",
-            dataset.name
-        ),
-        &["scale", "Naive", "Simba", "DFT", "DITA"],
-    );
-    for (rate, workers) in params::SAMPLE_RATES.iter().zip(params::WORKERS) {
-        let sampled = dataset.sample(*rate);
-        let systems = build_search_systems(&sampled, workers, ng);
-        let qs = dita_datagen::sample_queries(&sampled, num_queries(), 0xA11CE);
-        let mut cells = Vec::new();
-        for name in systems_names {
-            let (ms, _) = measure_search(&systems, name, &qs, default_tau, &DistanceFunction::Dtw);
-            sink.record(
-                name,
-                &dataset.name,
-                serde_json::json!({"rate": rate, "workers": workers, "panel": "d"}),
-                "search_ms",
-                ms,
-            );
-            cells.push(ms);
-        }
-        tbl.row(&[
-            &format!("{rate},{workers}w"),
-            &format!("{:.3}", cells[0]),
-            &format!("{:.3}", cells[1]),
-            &format!("{:.3}", cells[2]),
-            &format!("{:.3}", cells[3]),
-        ]);
-    }
-    tbl.print();
 }
 
-/// Regenerates one full join figure (the Figures 9/10 layout): τ sweep,
-/// sample-rate sweep, worker sweep and scale-out, Simba vs DITA.
-pub fn run_join_figure(figure: &str, dataset: &Dataset, default_tau: f64) {
-    use crate::{cluster, dita_config, params, Sink, Table};
-    let ng = crate::default_ng(&dataset.name);
-    let mut sink = Sink::new(figure);
-
-    let build = |data: &Dataset, workers: usize| {
-        let c = cluster(workers);
-        let dita = DitaSystem::build(data, dita_config(ng), c.clone());
-        let parts = dita.num_partitions().max(1);
-        let simba = SimbaSystem::build(data.trajectories(), parts, c);
-        (dita, simba)
-    };
-
-    // (a) Varying τ.
-    let mut tbl = Table::new(
-        format!("{figure}(a): join on {} — varying tau (ms)", dataset.name),
-        &["tau", "Simba", "DITA", "pairs"],
+/// One full search figure (the Figures 7/8 layout) for Naive, Simba, DFT
+/// and DITA under DTW; queries are drawn from the sample they run against.
+pub fn search_figure(h: &Harness, sink: &mut Sink, dataset: &Dataset, default_tau: f64) {
+    let ng = default_ng(&dataset.name);
+    four_panels(
+        sink,
+        dataset,
+        default_tau,
+        |data, workers| (SearchSystems::build(data, workers, ng), h.queries(data)),
+        |(systems, queries), tau, at| systems.record(at, queries, tau, &DistanceFunction::Dtw),
     );
-    let (dita, simba) = build(dataset, params::DEFAULT_WORKERS);
-    for tau in params::TAUS {
-        let (pairs, dita_ms, _) = measure_dita_join(
-            &dita,
-            &dita,
-            tau,
-            &DistanceFunction::Dtw,
-            &JoinOptions::default(),
-        );
-        let (_, simba_ms) = measure_simba_join(&simba, &simba, tau, &DistanceFunction::Dtw);
-        sink.record(
-            "dita",
-            &dataset.name,
-            serde_json::json!({"tau": tau, "panel": "a"}),
-            "join_ms",
-            dita_ms,
-        );
-        sink.record(
-            "simba",
-            &dataset.name,
-            serde_json::json!({"tau": tau, "panel": "a"}),
-            "join_ms",
-            simba_ms,
-        );
-        tbl.row(&[
-            &format!("{tau}"),
-            &format!("{simba_ms:.1}"),
-            &format!("{dita_ms:.1}"),
-            &pairs,
-        ]);
-    }
-    tbl.print();
+}
 
-    // (b) Sample-rate sweep.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(b): join on {} — varying sample rate (ms)",
-            dataset.name
-        ),
-        &["rate", "Simba", "DITA"],
+/// One full join figure (the Figures 9/10 layout), Simba vs DITA, DTW.
+pub fn join_figure(sink: &mut Sink, dataset: &Dataset, default_tau: f64) {
+    let ng = default_ng(&dataset.name);
+    let dtw = DistanceFunction::Dtw;
+    four_panels(
+        sink,
+        dataset,
+        default_tau,
+        |data, workers| {
+            let c = cluster(workers);
+            let dita = DitaSystem::build(data, dita_config(ng), c.clone());
+            let parts = dita.num_partitions().max(1);
+            (SimbaSystem::build(data.trajectories(), parts, c), dita)
+        },
+        |(simba, dita), tau, at| {
+            at.record("simba", "join_ms", simba_join_ms(simba, tau, &dtw));
+            at.record(
+                "dita",
+                "join_ms",
+                dita_join_ms(dita, tau, &dtw, &JoinOptions::default()).0,
+            );
+        },
     );
-    for rate in params::SAMPLE_RATES {
-        let sampled = dataset.sample(rate);
-        let (dita, simba) = build(&sampled, params::DEFAULT_WORKERS);
-        let (_, dita_ms, _) = measure_dita_join(
-            &dita,
-            &dita,
-            default_tau,
-            &DistanceFunction::Dtw,
-            &JoinOptions::default(),
-        );
-        let (_, simba_ms) = measure_simba_join(&simba, &simba, default_tau, &DistanceFunction::Dtw);
-        sink.record(
-            "dita",
-            &dataset.name,
-            serde_json::json!({"rate": rate, "panel": "b"}),
-            "join_ms",
-            dita_ms,
-        );
-        sink.record(
-            "simba",
-            &dataset.name,
-            serde_json::json!({"rate": rate, "panel": "b"}),
-            "join_ms",
-            simba_ms,
-        );
-        tbl.row(&[
-            &format!("{rate}"),
-            &format!("{simba_ms:.1}"),
-            &format!("{dita_ms:.1}"),
-        ]);
-    }
-    tbl.print();
-
-    // (c) Scale-up.
-    let mut tbl = Table::new(
-        format!(
-            "{figure}(c): join on {} — varying workers (ms)",
-            dataset.name
-        ),
-        &["workers", "Simba", "DITA"],
-    );
-    for workers in params::WORKERS {
-        let (dita, simba) = build(dataset, workers);
-        let (_, dita_ms, _) = measure_dita_join(
-            &dita,
-            &dita,
-            default_tau,
-            &DistanceFunction::Dtw,
-            &JoinOptions::default(),
-        );
-        let (_, simba_ms) = measure_simba_join(&simba, &simba, default_tau, &DistanceFunction::Dtw);
-        sink.record(
-            "dita",
-            &dataset.name,
-            serde_json::json!({"workers": workers, "panel": "c"}),
-            "join_ms",
-            dita_ms,
-        );
-        sink.record(
-            "simba",
-            &dataset.name,
-            serde_json::json!({"workers": workers, "panel": "c"}),
-            "join_ms",
-            simba_ms,
-        );
-        tbl.row(&[
-            &workers,
-            &format!("{simba_ms:.1}"),
-            &format!("{dita_ms:.1}"),
-        ]);
-    }
-    tbl.print();
-
-    // (d) Scale-out.
-    let mut tbl = Table::new(
-        format!("{figure}(d): join on {} — scale-out (ms)", dataset.name),
-        &["scale", "Simba", "DITA"],
-    );
-    for (rate, workers) in params::SAMPLE_RATES.iter().zip(params::WORKERS) {
-        let sampled = dataset.sample(*rate);
-        let (dita, simba) = build(&sampled, workers);
-        let (_, dita_ms, _) = measure_dita_join(
-            &dita,
-            &dita,
-            default_tau,
-            &DistanceFunction::Dtw,
-            &JoinOptions::default(),
-        );
-        let (_, simba_ms) = measure_simba_join(&simba, &simba, default_tau, &DistanceFunction::Dtw);
-        sink.record(
-            "dita",
-            &dataset.name,
-            serde_json::json!({"rate": rate, "workers": workers, "panel": "d"}),
-            "join_ms",
-            dita_ms,
-        );
-        sink.record(
-            "simba",
-            &dataset.name,
-            serde_json::json!({"rate": rate, "workers": workers, "panel": "d"}),
-            "join_ms",
-            simba_ms,
-        );
-        tbl.row(&[
-            &format!("{rate},{workers}w"),
-            &format!("{simba_ms:.1}"),
-            &format!("{dita_ms:.1}"),
-        ]);
-    }
-    tbl.print();
 }

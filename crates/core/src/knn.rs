@@ -10,7 +10,7 @@
 //! dense regions converge in one or two probes and empty regions expand
 //! geometrically instead of scanning.
 
-use crate::search::{run_batch, SearchOptions, SearchScratch};
+use crate::search::{run_batch, SearchScratch};
 use crate::system::DitaSystem;
 use dita_distance::DistanceFunction;
 use dita_obs::names;
@@ -166,7 +166,7 @@ fn knn_rounds(
             .collect();
         let (mut hits, bstats) = {
             let _round = dita_obs::span!(system.obs(), round_span, queries = qs.len(), func = func);
-            run_batch(system, &qs, &taus, func, SearchOptions::default(), scratch)
+            run_batch(system, &qs, &taus, func, scratch)
         };
         for (slot, &i) in active.iter().enumerate() {
             let s = &mut states[i];

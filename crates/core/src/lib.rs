@@ -12,8 +12,8 @@
 //!   model, greedy graph orientation, division-based load balancing, then
 //!   edge-wise local joins.
 //! * [`verify`] — the verification pipeline of §5.3.3: MBR coverage filter →
-//!   cell-bound filter → band-pruned SoA threshold kernels, optionally
-//!   rayon-parallel within each worker task.
+//!   point-to-MBR bound → band-pruned SoA threshold kernels, serially on
+//!   the worker task's thread.
 //! * [`knn`] — k-nearest-neighbor search and join (the paper's §8 future
 //!   work), by exact radius expansion over the threshold machinery.
 //! * [`feedback`] — observed-cost feedback: a finished join records each
@@ -39,8 +39,8 @@ pub use feedback::{price_query, CostFeedback, NodeObservation};
 pub use join::{join, BalanceStrategy, JoinOptions, JoinStats};
 pub use knn::{knn_batch, knn_join, knn_search, knn_search_with_scratch, KnnStats};
 pub use search::{
-    query_broadcast_bytes, search, search_batch, search_batch_with_scratch, search_with_options,
-    search_with_scratch, BatchSearchStats, QueryStats, SearchOptions, SearchScratch, SearchStats,
+    query_broadcast_bytes, search, search_batch, search_batch_with_scratch, search_with_scratch,
+    BatchSearchStats, QueryStats, SearchScratch, SearchStats,
 };
 pub use system::{BuildStats, DitaConfig, DitaSystem};
 pub use verify::{

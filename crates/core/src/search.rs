@@ -45,22 +45,6 @@ pub struct SearchStats {
     pub job: JobStats,
 }
 
-/// Tuning knobs for [`search_with_options`].
-#[derive(Debug, Clone, Copy)]
-pub struct SearchOptions {
-    /// Rayon threads each worker task uses to verify a candidate list;
-    /// 1 (the default) verifies serially on the worker thread. The pool's
-    /// CPU time is charged back to the task either way, so the simulated
-    /// cost model is unaffected — only wall-clock changes.
-    pub verify_threads: usize,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions { verify_threads: 1 }
-    }
-}
-
 /// Reusable allocations for repeated searches.
 ///
 /// Worker tasks run concurrently and each needs its own probe stack, so the
@@ -148,22 +132,11 @@ pub fn search(
     tau: f64,
     func: &DistanceFunction,
 ) -> (Vec<(TrajectoryId, f64)>, SearchStats) {
-    search_with_options(system, q, tau, func, SearchOptions::default())
-}
-
-/// [`search`] with explicit [`SearchOptions`].
-pub fn search_with_options(
-    system: &DitaSystem,
-    q: &[Point],
-    tau: f64,
-    func: &DistanceFunction,
-    options: SearchOptions,
-) -> (Vec<(TrajectoryId, f64)>, SearchStats) {
     let mut scratch = SearchScratch::new();
-    search_with_scratch(system, q, tau, func, options, &mut scratch)
+    search_with_scratch(system, q, tau, func, &mut scratch)
 }
 
-/// [`search_with_options`] with caller-held scratch: repeated calls (kNN
+/// [`search`] with caller-held scratch: repeated calls (kNN
 /// bound tightening, benchmark loops) reuse probe stacks and kernel buffers
 /// instead of reallocating them per query. Results are identical.
 ///
@@ -173,11 +146,10 @@ pub fn search_with_scratch(
     q: &[Point],
     tau: f64,
     func: &DistanceFunction,
-    options: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<(TrajectoryId, f64)>, SearchStats) {
     let _span = dita_obs::span!(system.obs(), names::SPAN_SEARCH, func = func, tau = tau);
-    let (mut results, mut stats) = run_batch(system, &[q], &[tau], func, options, scratch);
+    let (mut results, mut stats) = run_batch(system, &[q], &[tau], func, scratch);
     let results = results.pop().expect("one result list per query");
     let query = stats.queries.pop().expect("one stats entry per query");
     let stats = SearchStats {
@@ -209,7 +181,6 @@ fn overlay_deltas(
     q_ctx: &QueryContext,
     tau: f64,
     func: &DistanceFunction,
-    verify_threads: usize,
     results: &mut Vec<(TrajectoryId, f64)>,
     verify: &mut VerifyStats,
     scratch: &mut SearchScratch,
@@ -242,7 +213,7 @@ fn overlay_deltas(
             .filter(|&c| !seg.dead.contains(&seg.trie.get(c).id()))
             .collect();
         delta_candidates += cands.len();
-        let (hits, vs) = try_verify_candidates(&seg.trie, &cands, q_ctx, tau, func, verify_threads)
+        let (hits, vs) = try_verify_candidates(&seg.trie, &cands, q_ctx, tau, func)
             .expect("the candidates come from a probe of this segment's trie");
         results.extend(hits);
         verify.merge(&vs);
@@ -281,10 +252,9 @@ pub fn search_batch(
     queries: &[&[Point]],
     taus: &[f64],
     func: &DistanceFunction,
-    options: SearchOptions,
 ) -> (Vec<Vec<(TrajectoryId, f64)>>, BatchSearchStats) {
     let mut scratch = SearchScratch::new();
-    search_batch_with_scratch(system, queries, taus, func, options, &mut scratch)
+    search_batch_with_scratch(system, queries, taus, func, &mut scratch)
 }
 
 /// [`search_batch`] with caller-held scratch (see [`SearchScratch`]).
@@ -293,7 +263,6 @@ pub fn search_batch_with_scratch(
     queries: &[&[Point]],
     taus: &[f64],
     func: &DistanceFunction,
-    options: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<Vec<(TrajectoryId, f64)>>, BatchSearchStats) {
     let _span = dita_obs::span!(
@@ -302,7 +271,7 @@ pub fn search_batch_with_scratch(
         queries = queries.len(),
         func = func
     );
-    run_batch(system, queries, taus, func, options, scratch)
+    run_batch(system, queries, taus, func, scratch)
 }
 
 /// The one search implementation. The caller has opened the operation
@@ -313,7 +282,6 @@ pub(crate) fn run_batch(
     queries: &[&[Point]],
     taus: &[f64],
     func: &DistanceFunction,
-    options: SearchOptions,
     scratch: &mut SearchScratch,
 ) -> (Vec<Vec<(TrajectoryId, f64)>>, BatchSearchStats) {
     assert_eq!(queries.len(), taus.len(), "one tau per query");
@@ -386,7 +354,6 @@ pub(crate) fn run_batch(
         .collect();
 
     let ctxs_ref = &ctxs;
-    let verify_threads = options.verify_threads;
     let scratch_ref: &SearchScratch = scratch;
     let (per_worker, job) = system.cluster().execute_try(tasks, move |_w, pairs| {
         let mut probe = scratch_ref.take_probe();
@@ -401,7 +368,7 @@ pub(crate) fn run_batch(
                 trie.candidates_with_scratch(q_ctx.points(), tau, func, &mut probe)
             };
             let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = pid, query = qi);
-            let (hits, vs) = try_verify_candidates(trie, &cands, q_ctx, tau, func, verify_threads)?;
+            let (hits, vs) = try_verify_candidates(trie, &cands, q_ctx, tau, func)?;
             out.push((qi, fs, vs, hits));
         }
         scratch_ref.put_probe(probe);
@@ -426,7 +393,6 @@ pub(crate) fn run_batch(
             &ctxs[qi],
             taus[qi],
             func,
-            verify_threads,
             hits,
             &mut st.verify,
             scratch,
@@ -575,25 +541,5 @@ mod tests {
         let bytes: u64 = stats.job.workers.iter().map(|w| w.bytes_received).sum();
         assert!(tasks >= 1);
         assert_eq!(bytes, query_broadcast_bytes(q) * tasks as u64);
-    }
-
-    #[test]
-    fn parallel_verification_matches_serial() {
-        let sys = tiny_system(2);
-        let ts = figure1_trajectories();
-        let serial = search(&sys, ts[0].points(), 3.0, &DistanceFunction::Dtw).0;
-        for threads in [2usize, 4] {
-            let par = search_with_options(
-                &sys,
-                ts[0].points(),
-                3.0,
-                &DistanceFunction::Dtw,
-                SearchOptions {
-                    verify_threads: threads,
-                },
-            )
-            .0;
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 }

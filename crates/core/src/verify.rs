@@ -23,17 +23,14 @@
 //! function.
 //!
 //! [`verify_candidates`] runs a worker task's whole candidate list through
-//! the pipeline, optionally on a rayon pool scoped to the worker, with
-//! deterministic output order and honest CPU-time accounting.
+//! the pipeline on the calling thread, hits in candidate order.
 
-use dita_cluster::{charge_compute, thread_cpu_time, TaskError};
+use dita_cluster::TaskError;
 use dita_distance::kernel::Scratch;
 use dita_distance::{bounds, DistanceFunction};
 use dita_index::{EntryRef, IndexedTrajectory, TrieIndex};
 use dita_obs::names;
 use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, TrajectoryId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Pre-computed query artifacts shared across all verifications of one
 /// query: its MBR and SoA coordinate layout.
@@ -286,21 +283,14 @@ pub(crate) fn verify_views(
 /// treats like a task panic, instead of unwinding the worker thread. The
 /// hot loops below are panic-free by construction after that check.
 ///
-/// With `threads ≤ 1` the list is verified serially on the calling thread.
-/// With `threads > 1` it is split across a rayon pool scoped to this call
-/// (per-thread scratch buffers, chunked statically), and the pool threads'
-/// CPU time is reported to the cluster executor via
-/// [`dita_cluster::charge_compute`] so the simulated cost model sees the
-/// work, not the host parallelism. The output is identical for every thread
-/// count: results land in pre-assigned slots, so ordering never depends on
-/// scheduling.
+/// The list is verified serially on the calling thread — the worker task's
+/// own, so its CPU time is the task's compute cost.
 pub fn try_verify_candidates(
     trie: &TrieIndex,
     cands: &[u32],
     q: &QueryContext,
     tau: f64,
     func: &DistanceFunction,
-    threads: usize,
 ) -> Result<(Vec<(TrajectoryId, f64)>, VerifyStats), TaskError> {
     if let Some(&bad) = cands.iter().find(|&&c| trie.try_get(c).is_none()) {
         return Err(TaskError::new(format!(
@@ -309,71 +299,34 @@ pub fn try_verify_candidates(
         )));
     }
     let side = q.side(func);
-    let serial = || {
-        let mut out = Vec::new();
-        let mut stats = VerifyStats::default();
-        let mut scratch = Scratch::new();
-        for &c in cands {
-            let e = trie.get(c);
-            if let Some(d) = verify_views(e.into(), &side, tau, func, &mut scratch, &mut stats) {
-                out.push((e.id(), d));
-            }
-        }
-        (out, stats)
-    };
-    if threads <= 1 || cands.len() < 2 {
-        return Ok(serial());
-    }
-    let pool = match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-        Ok(p) => p,
-        // Pool creation can fail under resource limits; verification must
-        // still complete.
-        Err(_) => return Ok(serial()),
-    };
-
-    // ~4 chunks per thread: large enough to amortize spawn overhead, small
-    // enough to smooth out uneven early-abandon costs.
-    let chunk = cands.len().div_ceil(threads * 4).max(1);
-    let mut slots: Vec<Option<(TrajectoryId, f64)>> = vec![None; cands.len()];
-    let mut chunk_stats = vec![VerifyStats::default(); cands.len().div_ceil(chunk)];
-    let cpu_ns = AtomicU64::new(0);
-    pool.scope(|s| {
-        let parts = cands.chunks(chunk).zip(slots.chunks_mut(chunk));
-        for ((part, out), stats) in parts.zip(chunk_stats.iter_mut()) {
-            let (cpu_ns, side) = (&cpu_ns, &side);
-            s.spawn(move |_| {
-                let t0 = thread_cpu_time();
-                let mut scratch = Scratch::new();
-                for (&c, slot) in part.iter().zip(out.iter_mut()) {
-                    let e = trie.get(c);
-                    *slot = verify_views(e.into(), side, tau, func, &mut scratch, stats)
-                        .map(|d| (e.id(), d));
-                }
-                let dt = thread_cpu_time().saturating_sub(t0);
-                cpu_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-            });
-        }
-    });
-    // Back on the worker thread: fold the pool's CPU time into this task's
-    // compute cost.
-    charge_compute(Duration::from_nanos(cpu_ns.load(Ordering::Relaxed)));
+    let mut out = Vec::new();
     let mut stats = VerifyStats::default();
-    chunk_stats.iter().for_each(|s| stats.merge(s));
-    Ok((slots.into_iter().flatten().collect(), stats))
+    let mut scratch = Scratch::new();
+    for &c in cands {
+        let e = trie.get(c);
+        if let Some(d) = verify_views(e.into(), &side, tau, func, &mut scratch, &mut stats) {
+            out.push((e.id(), d));
+        }
+    }
+    Ok((out, stats))
 }
 
 /// [`try_verify_candidates`]' hits alone, infallibly, for benches and
 /// tests, where the candidate list comes straight from a probe of the same
 /// trie and an out-of-range id is an immediate programming error.
+///
+/// The sixth parameter is unread: it was a verification thread count, every
+/// caller passed 1, and it stays only until `benchmark/src/layers.rs`, which
+/// this signature must keep compiling, stops passing it (ROADMAP 2(d)).
 pub fn verify_candidates(
     trie: &TrieIndex,
     cands: &[u32],
     q: &QueryContext,
     tau: f64,
     func: &DistanceFunction,
-    threads: usize,
+    _unread: usize,
 ) -> Vec<(TrajectoryId, f64)> {
-    try_verify_candidates(trie, cands, q, tau, func, threads)
+    try_verify_candidates(trie, cands, q, tau, func)
         // lint: allow(worker-panic, reason = "driver-side wrapper; worker tasks call try_verify_candidates under execute_try")
         .expect("candidate ids must be in range")
         .0
@@ -554,35 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_candidates_deterministic_across_thread_counts() {
-        use dita_index::{TrieConfig, TrieIndex};
-        let ts = figure1_trajectories();
-        let trie = TrieIndex::build(
-            ts.clone(),
-            TrieConfig {
-                k: 2,
-                nl: 2,
-                leaf_capacity: 0,
-                cell_side: 2.0,
-                ..TrieConfig::default()
-            },
-        );
-        let q = ctx(ts[0].points());
-        let cands: Vec<u32> = (0..ts.len() as u32).collect();
-        let counted = |threads| {
-            try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, threads)
-                .expect("every id is in range")
-        };
-        let baseline = counted(1);
-        assert!(!baseline.0.is_empty());
-        for threads in [2usize, 4, 8] {
-            for _ in 0..3 {
-                assert_eq!(counted(threads), baseline, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn out_of_range_candidate_is_an_error_not_a_panic() {
         use dita_index::{TrieConfig, TrieIndex};
         let ts = figure1_trajectories();
@@ -599,18 +523,15 @@ mod tests {
         );
         let q = ctx(ts[0].points());
         // A corrupted candidate list (id past the end of the trie) must
-        // surface as a retryable TaskError, in both the serial and the
-        // rayon-pool paths, without unwinding the worker thread.
-        for threads in [1usize, 4] {
-            let cands: Vec<u32> = (0..=n).collect();
-            let err =
-                try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, threads)
-                    .expect_err("out-of-range candidate must be rejected");
-            assert!(err.to_string().contains("out of range"), "{err}");
-        }
+        // surface as a retryable TaskError, without unwinding the worker
+        // thread.
+        let cands: Vec<u32> = (0..=n).collect();
+        let err = try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw)
+            .expect_err("out-of-range candidate must be rejected");
+        assert!(err.to_string().contains("out of range"), "{err}");
         // In-range ids still verify identically through the fallible path.
         let cands: Vec<u32> = (0..n).collect();
-        let (ok, stats) = try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw, 1)
+        let (ok, stats) = try_verify_candidates(&trie, &cands, &q, 3.0, &DistanceFunction::Dtw)
             .expect("in-range candidates verify");
         assert_eq!(
             ok,

@@ -14,7 +14,6 @@
 use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::{
     knn_batch, knn_search, search, search_batch, CompactionPolicy, DitaConfig, DitaSystem,
-    SearchOptions,
 };
 use dita_distance::DistanceFunction;
 use dita_index::{PivotStrategy, TrieConfig};
@@ -120,8 +119,7 @@ fn assert_batch_matches_sequential(sys: &DitaSystem, seed: u64, batch_size: usiz
     let (qs, taus) = query_batch(seed, batch_size);
     let q_slices: Vec<&[Point]> = qs.iter().map(|t| t.points()).collect();
     for func in all_functions() {
-        let (batched, bstats) =
-            search_batch(sys, &q_slices, &taus, &func, SearchOptions::default());
+        let (batched, bstats) = search_batch(sys, &q_slices, &taus, &func);
         assert_eq!(batched.len(), batch_size);
         assert_eq!(bstats.queries.len(), batch_size);
         let mut sequential_bytes = 0u64;
@@ -297,13 +295,7 @@ fn knn_batch_matches_sequential_with_delta_overlay() {
 fn degenerate_batches_behave() {
     let sys = build(23, 40);
     // Empty batch: no answers, no tasks, nothing shipped.
-    let (results, stats) = search_batch(
-        &sys,
-        &[],
-        &[],
-        &DistanceFunction::Dtw,
-        SearchOptions::default(),
-    );
+    let (results, stats) = search_batch(&sys, &[], &[], &DistanceFunction::Dtw);
     assert!(results.is_empty());
     assert!(stats.queries.is_empty());
     assert_eq!(stats.job.workers.iter().map(|w| w.tasks).sum::<usize>(), 0);

@@ -286,22 +286,18 @@ fn a_verified_list_is_the_kernels_answers_and_its_counts_add_up() {
                             .map(|d| (e.id(), d.to_bits()))
                     })
                     .collect();
-                for threads in [1, 3] {
-                    let (hits, stats) =
-                        try_verify_candidates(&trie, &everyone, &query, tau, func, threads)
-                            .expect("every id is in range");
-                    let got: Vec<(u64, u64)> =
-                        hits.iter().map(|&(id, d)| (id, d.to_bits())).collect();
-                    assert_eq!(got, want, "{func} tau {tau} threads {threads}");
-                    assert_eq!(stats.candidates, everyone.len());
-                    assert_eq!(stats.accepted(), hits.len(), "{func} tau {tau}");
-                    assert_eq!(stats.funnel().survivors(), hits.len() as u64);
-                    if !matches!(func, DistanceFunction::Dtw | DistanceFunction::Frechet) {
-                        assert_eq!(stats.pruned_coverage, 0, "{func} has no coverage stage");
-                    }
-                    pruned[0] += stats.pruned_coverage;
-                    pruned[1] += stats.pruned_bound;
+                let (hits, stats) = try_verify_candidates(&trie, &everyone, &query, tau, func)
+                    .expect("every id is in range");
+                let got: Vec<(u64, u64)> = hits.iter().map(|&(id, d)| (id, d.to_bits())).collect();
+                assert_eq!(got, want, "{func} tau {tau}");
+                assert_eq!(stats.candidates, everyone.len());
+                assert_eq!(stats.accepted(), hits.len(), "{func} tau {tau}");
+                assert_eq!(stats.funnel().survivors(), hits.len() as u64);
+                if !matches!(func, DistanceFunction::Dtw | DistanceFunction::Frechet) {
+                    assert_eq!(stats.pruned_coverage, 0, "{func} has no coverage stage");
                 }
+                pruned[0] += stats.pruned_coverage;
+                pruned[1] += stats.pruned_bound;
             }
         }
     }

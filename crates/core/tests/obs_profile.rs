@@ -5,9 +5,7 @@
 //! registry metrics. Joins and kNN searches get their own top-level spans.
 
 use dita_cluster::{Cluster, ClusterConfig};
-use dita_core::{
-    join, knn_search, search_with_options, DitaConfig, DitaSystem, JoinOptions, SearchOptions,
-};
+use dita_core::{join, knn_search, search, DitaConfig, DitaSystem, JoinOptions};
 use dita_distance::DistanceFunction;
 use dita_index::{PivotStrategy, TrieConfig};
 use dita_obs::Obs;
@@ -39,13 +37,7 @@ fn instrumented_system(workers: usize) -> DitaSystem {
 fn search_profile_has_expected_hierarchy() {
     let sys = instrumented_system(2);
     let ts = figure1_trajectories();
-    let (results, stats) = search_with_options(
-        &sys,
-        ts[0].points(),
-        3.0,
-        &DistanceFunction::Dtw,
-        SearchOptions { verify_threads: 1 },
-    );
+    let (results, stats) = search(&sys, ts[0].points(), 3.0, &DistanceFunction::Dtw);
     assert_eq!(results.len(), 2);
 
     let report = sys.obs().report();
@@ -94,13 +86,7 @@ fn search_profile_has_expected_hierarchy() {
 fn filter_funnel_is_consistent_with_search_stats() {
     let sys = instrumented_system(2);
     let ts = figure1_trajectories();
-    let (_, stats) = search_with_options(
-        &sys,
-        ts[1].points(),
-        3.0,
-        &DistanceFunction::Dtw,
-        SearchOptions { verify_threads: 1 },
-    );
+    let (_, stats) = search(&sys, ts[1].points(), 3.0, &DistanceFunction::Dtw);
 
     let funnel = stats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER);
     assert_eq!(funnel.name, "trie-filter");
@@ -151,13 +137,7 @@ fn filter_funnel_is_consistent_with_search_stats() {
 fn executor_metrics_are_recorded_per_worker() {
     let sys = instrumented_system(2);
     let ts = figure1_trajectories();
-    let (_, stats) = search_with_options(
-        &sys,
-        ts[0].points(),
-        3.0,
-        &DistanceFunction::Dtw,
-        SearchOptions { verify_threads: 1 },
-    );
+    let (_, stats) = search(&sys, ts[0].points(), 3.0, &DistanceFunction::Dtw);
 
     let report = sys.obs().report();
     let task_total: f64 = report
@@ -243,13 +223,7 @@ fn unattached_system_records_nothing() {
         Cluster::new(ClusterConfig::with_workers(2)),
     );
     let ts = figure1_trajectories();
-    let (results, _) = search_with_options(
-        &sys,
-        ts[0].points(),
-        3.0,
-        &DistanceFunction::Dtw,
-        SearchOptions { verify_threads: 1 },
-    );
+    let (results, _) = search(&sys, ts[0].points(), 3.0, &DistanceFunction::Dtw);
     assert_eq!(results.len(), 2);
     assert!(!sys.obs().is_enabled());
     let report = sys.obs().report();

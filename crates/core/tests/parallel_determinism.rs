@@ -1,11 +1,10 @@
-//! Parallel verification must be invisible in the results: the same system
+//! Parallel execution must be invisible in the results: the same system
 //! and query produce identical `(id, distance)` vectors — bit-equal
-//! distances, same order — whatever the worker count, however many rayon
-//! threads each worker verifies with, and however often the search is
-//! repeated.
+//! distances, same order — whatever the worker count and however often the
+//! search is repeated.
 
 use dita_cluster::{Cluster, ClusterConfig};
-use dita_core::{search_batch, search_with_options, DitaConfig, DitaSystem, SearchOptions};
+use dita_core::{search, DitaConfig, DitaSystem};
 use dita_distance::DistanceFunction;
 use dita_index::{PivotStrategy, TrieConfig};
 use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
@@ -67,7 +66,7 @@ fn build_system(ts: &[Trajectory], workers: usize) -> DitaSystem {
 }
 
 #[test]
-fn results_identical_across_workers_threads_and_repeats() {
+fn results_identical_across_workers_and_repeats() {
     let ts = random_trajectories(120, 0x5eed_2026);
     let funcs = [
         DistanceFunction::Dtw,
@@ -84,18 +83,9 @@ fn results_identical_across_workers_threads_and_repeats() {
                 DistanceFunction::Edr { .. } | DistanceFunction::Lcss { .. } => 6.0,
                 _ => 2.5,
             };
-            // Baseline: one worker, serial verification.
-            let baseline: Vec<(TrajectoryId, f64)> = {
-                let sys = build_system(&ts, 1);
-                search_with_options(
-                    &sys,
-                    q.points(),
-                    tau,
-                    func,
-                    SearchOptions { verify_threads: 1 },
-                )
-                .0
-            };
+            // Baseline: one worker.
+            let baseline: Vec<(TrajectoryId, f64)> =
+                search(&build_system(&ts, 1), q.points(), tau, func).0;
             assert!(
                 !baseline.is_empty(),
                 "{func} Q=T{}: baseline found nothing — test is vacuous",
@@ -104,59 +94,16 @@ fn results_identical_across_workers_threads_and_repeats() {
 
             for workers in [1usize, 4, 8] {
                 let sys = build_system(&ts, workers);
-                for verify_threads in [1usize, 2, 4] {
-                    for repeat in 0..2 {
-                        let got = search_with_options(
-                            &sys,
-                            q.points(),
-                            tau,
-                            func,
-                            SearchOptions { verify_threads },
-                        )
-                        .0;
-                        // Bit-equal distances, identical order.
-                        assert_eq!(
-                            got, baseline,
-                            "{func} Q=T{} workers={workers} \
-                             verify_threads={verify_threads} repeat={repeat}",
-                            q.id
-                        );
-                    }
+                for repeat in 0..2 {
+                    let got = search(&sys, q.points(), tau, func).0;
+                    // Bit-equal distances, identical order.
+                    assert_eq!(
+                        got, baseline,
+                        "{func} Q=T{} workers={workers} repeat={repeat}",
+                        q.id
+                    );
                 }
             }
         }
-    }
-}
-
-/// `SearchOptions::verify_threads` reaches the base partitions of a batched
-/// search too, and changes nothing but wall-clock: every query of a batch
-/// gets bit-equal answers at 1, 2 and 4 verify threads.
-#[test]
-fn batch_results_identical_across_verify_threads() {
-    let ts = random_trajectories(120, 0x5eed_2026);
-    let sys = build_system(&ts, 4);
-    let queries: Vec<&[Point]> = [3usize, 47, 101, 47]
-        .iter()
-        .map(|&i| ts[i].points())
-        .collect();
-    let taus = [2.5, 3.0, 4.0, 2.5];
-    let func = DistanceFunction::Dtw;
-    let run = |verify_threads| {
-        search_batch(
-            &sys,
-            &queries,
-            &taus,
-            &func,
-            SearchOptions { verify_threads },
-        )
-        .0
-    };
-    let baseline = run(1);
-    assert!(
-        baseline.iter().all(|hits| !hits.is_empty()),
-        "a query found nothing — test is vacuous"
-    );
-    for verify_threads in [2usize, 4] {
-        assert_eq!(run(verify_threads), baseline, "threads={verify_threads}");
     }
 }

@@ -78,7 +78,7 @@ proptest! {
         ),
         workers in 1usize..4,
     ) {
-        use dita_core::{search, search_batch, SearchOptions};
+        use dita_core::{search, search_batch};
         use dita_distance::DistanceFunction;
 
         let sys = tiny_system(workers);
@@ -95,7 +95,7 @@ proptest! {
             let (_, s) = search(&sys, q, taus[qi], &func);
             sequential += s.job.workers.iter().map(|w| w.bytes_received).sum::<u64>();
         }
-        let (_, bstats) = search_batch(&sys, &q_slices, &taus, &func, SearchOptions::default());
+        let (_, bstats) = search_batch(&sys, &q_slices, &taus, &func);
         let batched: u64 = bstats.job.workers.iter().map(|w| w.bytes_received).sum();
         prop_assert_eq!(batched, sequential);
     }

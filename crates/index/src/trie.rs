@@ -857,8 +857,7 @@ impl TrieIndex {
     /// Like [`TrieIndex::build`], additionally returning the CPU time burned
     /// by helper threads (zero for serial builds). Callers running inside a
     /// cluster task charge it back via `dita_cluster::charge_compute` so the
-    /// simulated cost model sees the work, not the host parallelism — the
-    /// same contract as `verify_threads`.
+    /// simulated cost model sees the work, not the host parallelism.
     pub fn build_timed(trajectories: Vec<Trajectory>, config: TrieConfig) -> (Self, Duration) {
         let (data, order, pending, helper) = build_pending(trajectories, &config);
         let mut nodes = FlatNodes::with_capacity(count_pending(&pending));

@@ -37,7 +37,7 @@
 use crate::http::{Conn, ReadOutcome, Request};
 use crate::wire::{self, ErrorBody};
 use dita_cluster::{CancelToken, QueryBatch, QueryScheduler, SchedulerConfig, SchedulerCounters};
-use dita_core::{join, knn_batch, price_query, search_batch, JoinOptions, SearchOptions};
+use dita_core::{join, knn_batch, price_query, search_batch, JoinOptions};
 use dita_distance::DistanceFunction;
 use dita_obs::json::Value;
 use dita_obs::sync::locks;
@@ -1054,7 +1054,7 @@ fn run_search_batch(engine: &Engine, table: &str, func: DistanceFunction, jobs: 
         );
         return;
     }
-    let (results, _) = search_batch(system, &qs, &taus, &func, SearchOptions::default());
+    let (results, _) = search_batch(system, &qs, &taus, &func);
     for (job, hits) in jobs.iter().zip(results) {
         job.reply.fill(Ok(wire::hits_value(&hits)));
     }

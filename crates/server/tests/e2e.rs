@@ -3,7 +3,7 @@
 //! (deadline and client disconnect) and graceful shutdown.
 
 use dita_cluster::{Cluster, ClusterConfig, SchedulerConfig};
-use dita_core::{knn_batch, search_batch, DitaConfig, SearchOptions};
+use dita_core::{knn_batch, search_batch, DitaConfig};
 use dita_distance::DistanceFunction;
 use dita_index::{PivotStrategy, TrieConfig};
 use dita_obs::json::Value;
@@ -222,13 +222,7 @@ fn responses_are_byte_identical_to_direct_library_calls() {
     assert_eq!(status, 200);
     let q: Vec<_> = figure1_trajectories()[0].points().to_vec();
     let system = direct.system("taxi").unwrap();
-    let (results, _) = search_batch(
-        system,
-        &[q.as_slice()],
-        &[3.0],
-        &DistanceFunction::Dtw,
-        SearchOptions::default(),
-    );
+    let (results, _) = search_batch(system, &[q.as_slice()], &[3.0], &DistanceFunction::Dtw);
     let expect = wire::body_bytes(&wire::hits_value(&results[0]));
     assert_eq!(body, expect, "search response must be byte-identical");
 
@@ -255,13 +249,7 @@ fn responses_are_byte_identical_to_direct_library_calls() {
                 "{{\"table\": \"taxi\", \"query\": [{}], \"tau\": {tau}}}",
                 points.join(",")
             );
-            let (results, _) = search_batch(
-                system,
-                &[q],
-                &[tau],
-                &DistanceFunction::Dtw,
-                SearchOptions::default(),
-            );
+            let (results, _) = search_batch(system, &[q], &[tau], &DistanceFunction::Dtw);
             (body, wire::body_bytes(&wire::hits_value(&results[0])))
         })
         .collect();

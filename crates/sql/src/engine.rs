@@ -4,9 +4,7 @@ use crate::error::SqlError;
 use crate::parser::parse;
 use crate::plan::{logical_plan, physical_plan, PhysicalPlan};
 use dita_cluster::Cluster;
-use dita_core::{
-    join, knn_search, search_batch, DitaConfig, DitaSystem, JoinOptions, SearchOptions,
-};
+use dita_core::{join, knn_search, search_batch, DitaConfig, DitaSystem, JoinOptions};
 use dita_distance::DistanceFunction;
 use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
 use std::collections::BTreeMap;
@@ -199,7 +197,7 @@ impl Engine {
             let system = entry.system.as_ref().expect("planner checked the index");
             let qs: Vec<&[Point]> = queries.iter().map(|(q, _)| q.as_slice()).collect();
             let taus: Vec<f64> = queries.iter().map(|&(_, tau)| tau).collect();
-            let (results, _) = search_batch(system, &qs, &taus, &func, SearchOptions::default());
+            let (results, _) = search_batch(system, &qs, &taus, &func);
             out.extend(results.into_iter().map(QueryResult::SearchHits));
             i = j;
         }

@@ -11,6 +11,12 @@ cargo build --release
 # rank_canary_matches_build_profile test (crates/obs/tests/
 # lock_stress.rs) fails the run if that ever stops being true.
 cargo test -q
+# One table of experiments: the ids `exp --list` prints and the ids in the
+# last column of DESIGN.md §4's table must be the same 17, so a figure cannot
+# be added to one and not the other.
+diff <(cargo run --release --quiet -p dita-bench --bin exp -- --list | sort) \
+  <(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md | grep '^|' | grep -o '`exp [a-z0-9_]*`' \
+      | tr -d '`' | cut -d' ' -f2 | sort -u)
 # The benchmark is a package of its own outside the workspace, so the line
 # above does not reach it. Its contract test builds it against the measured
 # crates (every name it imports must still compile), runs every workload's

@@ -23,6 +23,8 @@ fi
 cargo run --release -p dita-bench --bin profile_smoke -- "$out"
 
 [ -s "$out" ] || { echo "profile_smoke.sh: empty JSON report" >&2; exit 1; }
+# The binary already parsed its report back with dita_obs::json; this is the
+# one reading of that writer's output by a parser that is not its own.
 python3 -m json.tool "$out" > /dev/null
 grep -q '"dita-obs/v1"' "$out" || {
     echo "profile_smoke.sh: missing schema tag" >&2; exit 1;
