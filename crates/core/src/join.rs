@@ -37,10 +37,9 @@ use dita_cluster::JobStats;
 use dita_distance::function::IndexMode;
 use dita_distance::kernel::Scratch;
 use dita_distance::DistanceFunction;
-use dita_index::{EntryRef, ProbeScratch, TrieIndex};
-use dita_obs::{names, thread_cpu_time};
+use dita_index::{EntryRef, FanOut, ProbeScratch, TrieIndex};
+use dita_obs::names;
 use dita_trajectory::{Point, TrajectoryId};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Which load-balancing stages to apply — the knob behind the Figure 16
@@ -500,9 +499,9 @@ fn join_base(
 ///
 /// The cheap MBR compatibility screen runs serially (it is O(1) per pair);
 /// the expensive part — `relevant_members` scans and `estimate_comp` trie
-/// probes per surviving pair — is chunked over a scoped pool with one
-/// [`RowProbe`] per chunk, results landing in pre-assigned slots so the
-/// edge list is identical for every thread count.
+/// probes per surviving pair — fans out over `opts.plan_threads` in pair
+/// order with one [`RowProbe`] a chunk, so the edge list is identical for
+/// every thread count.
 fn build_edges(
     t_sys: &DitaSystem,
     q_sys: &DitaSystem,
@@ -526,35 +525,7 @@ fn build_edges(
             }
             let df = tp.mbr_first.min_dist_mbr(&qp.mbr_first);
             let dl = tp.mbr_last.min_dist_mbr(&qp.mbr_last);
-            let compatible = match mode {
-                IndexMode::Additive => {
-                    // 1-point vs 1-point pairs share the single DTW cell.
-                    if tp.min_len <= 1 && qp.min_len <= 1 {
-                        df.max(dl) <= tau
-                    } else {
-                        df + dl <= tau
-                    }
-                }
-                IndexMode::Max => df <= tau && dl <= tau,
-                IndexMode::EditCount { eps, symmetric } => {
-                    // LCSS charges nothing here: the shorter side's first
-                    // point may match any of the other's first δ + 1 points
-                    // for free, and the endpoint MBRs bound only the first.
-                    if !symmetric {
-                        true
-                    } else {
-                        let (f, l) = (usize::from(df > eps), usize::from(dl > eps));
-                        let edits = if tp.min_len <= 1 || qp.min_len <= 1 {
-                            f.max(l)
-                        } else {
-                            f + l
-                        };
-                        edits as f64 <= tau
-                    }
-                }
-                IndexMode::Scan => true,
-            };
-            if compatible {
+            if mode.endpoints_admit(df, dl, tp.min_len, qp.min_len, tau) {
                 pairs.push((tp.id, qp.id));
             }
         }
@@ -563,7 +534,7 @@ fn build_edges(
 
     // --- Edge weighting (parallel across pairs) ---
     let nt = t_sys.num_partitions();
-    let weigh = |&(t_pid, q_pid): &(usize, usize), probe: &mut RowProbe| -> Option<Edge> {
+    let weigh = |probe: &mut RowProbe, &(t_pid, q_pid): &(usize, usize)| -> Option<Edge> {
         let tp = &t_sys.partitioning().partitions[t_pid];
         let qp = &q_sys.partitioning().partitions[q_pid];
         // One partition on both sides: both directions ship the same rows
@@ -638,47 +609,14 @@ fn build_edges(
         })
     };
 
-    let threads = opts.plan_threads.max(1);
-    let pool = if threads > 1 && pairs.len() > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .ok()
-    } else {
-        None
-    };
-    let edges: Vec<Edge>;
-    let mut helper_cpu = Duration::ZERO;
-    match pool {
-        None => {
-            let mut probe = RowProbe::default();
-            edges = pairs.iter().filter_map(|p| weigh(p, &mut probe)).collect();
-        }
-        Some(pool) => {
-            let chunk = pairs.len().div_ceil(threads * 4).max(1);
-            let mut slots: Vec<Option<Edge>> = Vec::new();
-            slots.resize_with(pairs.len(), || None);
-            let cpu_ns = AtomicU64::new(0);
-            pool.scope(|s| {
-                for (part, out) in pairs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    let cpu_ns = &cpu_ns;
-                    let weigh = &weigh;
-                    s.spawn(move |_| {
-                        let t0 = thread_cpu_time();
-                        let mut probe = RowProbe::default();
-                        for (pair, slot) in part.iter().zip(out.iter_mut()) {
-                            *slot = weigh(pair, &mut probe);
-                        }
-                        let dt = thread_cpu_time().saturating_sub(t0);
-                        cpu_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
-            });
-            helper_cpu = Duration::from_nanos(cpu_ns.load(Ordering::Relaxed));
-            edges = slots.into_iter().flatten().collect();
-        }
-    }
-    (edges, weighed, helper_cpu)
+    let fan = FanOut::new(opts.plan_threads);
+    // One probe a chunk of pairs: its buffers grow once (≈ 4 µs an edge).
+    let edges = fan
+        .map_init(&pairs, RowProbe::default, weigh)
+        .into_iter()
+        .flatten()
+        .collect();
+    (edges, weighed, fan.helper_cpu())
 }
 
 /// Local ids in `sys`'s partition `pid` whose endpoints are compatible with
@@ -699,30 +637,7 @@ fn relevant_members(
             let t = trie.get(i);
             let df = other_first.min_dist_point(&t.first());
             let dl = other_last.min_dist_point(&t.last());
-            match mode {
-                IndexMode::Additive => {
-                    if t.len() <= 1 && other_min_len <= 1 {
-                        df.max(dl) <= tau
-                    } else {
-                        df + dl <= tau
-                    }
-                }
-                IndexMode::Max => df <= tau && dl <= tau,
-                IndexMode::EditCount { eps, symmetric } => {
-                    // LCSS: an endpoint far from the other side's endpoints
-                    // may still match one of their neighbours within the δ
-                    // band, at no charge.
-                    if !symmetric {
-                        return true;
-                    }
-                    let (f, l) = (usize::from(df > eps), usize::from(dl > eps));
-                    // A 1-point trajectory's endpoints coincide: cap at one
-                    // edit.
-                    let edits = if t.len() <= 1 { f.max(l) } else { f + l };
-                    edits as f64 <= tau
-                }
-                IndexMode::Scan => true,
-            }
+            mode.endpoints_admit(df, dl, t.len(), other_min_len, tau)
         })
         .collect()
 }

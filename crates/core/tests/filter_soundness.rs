@@ -1,11 +1,15 @@
-//! Filter soundness, verification's rows (ROADMAP item 3).
+//! Filter soundness: verification's rows and the endpoint-pair rule's
+//! (ROADMAP item 3).
 //!
 //! Every "≡" test in this repository compares two paths that share their
 //! filters. The only side with no filter is the kernel, so this harness
 //! holds each cheap stage of `dita_core::verify` against it: for all five
 //! distance functions, no stage taken alone rejects a pair the thresholded
 //! kernel accepts, and the whole pipeline returns what the kernel alone
-//! returns, distance bits included.
+//! returns, distance bits included. The endpoint-pair budget rule
+//! (`IndexMode::endpoints_admit`, which the global index, the join's
+//! partition-pair screen and its shipped-row screen all call) is held
+//! against the same kernel in both shapes it is used in.
 //!
 //! | stage | lemma | functions |
 //! |---|---|---|
@@ -14,6 +18,8 @@
 //! | point-to-MBR, candidate points → query MBR | the same, roles swapped | DTW, Fréchet |
 //! | length | Appendix A, `EDR ≥ \|m − n\|` | EDR |
 //! | magnitude | Chen & Ng, `ERP ≥ \|Σ dist(tᵢ, g) − Σ dist(qⱼ, g)\|` | ERP |
+//! | endpoints, point vs MBR (`relevant_partitions`, `relevant_members`) | §5.2; Appendix A for Fréchet, EDR, LCSS | all five |
+//! | endpoints, MBR vs MBR (`build_edges`' screen) | the same, §6.2 | all five |
 //!
 //! The thresholds are the adversarial ones: 0, the kernel's own distance
 //! and one ulp either side of it, and one value in between. Trajectories of
@@ -38,17 +44,44 @@ const FUNCS: [DistanceFunction; 5] = [
     DistanceFunction::Erp { gap: (1.5, 1.5) },
 ];
 
+/// What a partition keeps of its members (§4.2.1): the MBRs of their first
+/// and of their last points, and the shortest member's length.
+struct Side {
+    first: Mbr,
+    last: Mbr,
+    min_len: usize,
+}
+
 /// One trajectory with what verification reads of it.
 struct Row {
     ctx: QueryContext,
     mbr: Mbr,
+    /// Three partitions that hold this row: alone (the tightest summary a
+    /// partition can have of it), beside its own reversal (endpoint MBRs
+    /// that are not points), and beside the single point it starts at
+    /// (`min_len` 1 over a longer member — the summary that switches the
+    /// rule to its one-cell / one-edit arm).
+    partitions: [Side; 3],
 }
 
 impl Row {
     fn new(points: Vec<Point>) -> Self {
+        let (first, last) = (points[0], points[points.len() - 1]);
+        let (at_first, at_last) = (Mbr::from_point(first), Mbr::from_point(last));
+        let both = Mbr::from_points(&[first, last]);
+        let side = |first, last, min_len| Side {
+            first,
+            last,
+            min_len,
+        };
         Row {
             mbr: Mbr::from_points(&points),
             ctx: QueryContext::new(&points, 1.0),
+            partitions: [
+                side(at_first, at_last, points.len()),
+                side(both, both, points.len()),
+                side(at_first, both, 1),
+            ],
         }
     }
 
@@ -105,8 +138,48 @@ fn stages(func: &DistanceFunction, cand: &Row, query: &Row, tau: f64) -> Vec<(&'
     }
 }
 
-/// Holds every stage and the whole pipeline against the kernel on one
-/// ordered pair, for all five functions at the adversarial thresholds.
+/// The endpoint-pair budget rule on a pair the kernel accepts at `tau`,
+/// over every partition summary of both rows: it must admit each time.
+///
+/// * DTW (§5.2): a warping path starts at `(t₁, q₁)` and ends at
+///   `(tₘ, qₙ)`, two cells unless both sides are a single point.
+/// * Fréchet (Appendix A, Definition A.1): the same two cells under `max`.
+/// * EDR (Appendix A, Definition A.2): an endpoint with no partner within ϵ
+///   is edited; a single point's first and last are one edit.
+/// * LCSS (Appendix A, Definition A.3) and ERP are not pruned by endpoints:
+///   the rule must admit everything.
+fn assert_endpoints_admit(func: &DistanceFunction, t: &Row, q: &Row, tau: f64) {
+    let mode = func.index_mode();
+    let pts = t.ctx.points();
+    let (first, last) = (&pts[0], &pts[pts.len() - 1]);
+    for (qi, qp) in q.partitions.iter().enumerate() {
+        // Point vs MBR: `GlobalIndex::relevant_partitions` (a query against
+        // a partition) and the join's `relevant_members` (a stored row
+        // against the opposite partition).
+        let df = qp.first.min_dist_point(first);
+        let dl = qp.last.min_dist_point(last);
+        assert!(
+            mode.endpoints_admit(df, dl, pts.len(), qp.min_len, tau),
+            "{func}: the endpoint rule rejects a point-vs-MBR pair the kernel accepts at \
+             tau {tau} (partition {qi}, df {df}, dl {dl}): {pts:?} vs {:?}",
+            q.ctx.points()
+        );
+        // MBR vs MBR: `build_edges`' partition-pair screen (§6.2).
+        for (ti, tp) in t.partitions.iter().enumerate() {
+            let df = tp.first.min_dist_mbr(&qp.first);
+            let dl = tp.last.min_dist_mbr(&qp.last);
+            assert!(
+                mode.endpoints_admit(df, dl, tp.min_len, qp.min_len, tau),
+                "{func}: the endpoint rule rejects an MBR-vs-MBR pair the kernel accepts at \
+                 tau {tau} (partitions {ti} and {qi}, df {df}, dl {dl}): {pts:?} vs {:?}",
+                q.ctx.points()
+            );
+        }
+    }
+}
+
+/// Holds every stage, the endpoint rule and the whole pipeline against the
+/// kernel on one ordered pair, for all five functions at the adversarial thresholds.
 /// Returns how many (function, threshold) cases the kernel accepted.
 fn check_pair(cand: &Row, query: &Row, scratch: &mut Scratch) -> usize {
     let (c, q) = (cand.soa().view(), query.soa().view());
@@ -129,6 +202,7 @@ fn check_pair(cand: &Row, query: &Row, scratch: &mut Scratch) -> usize {
                         query.ctx.points()
                     );
                 }
+                assert_endpoints_admit(func, cand, query, tau);
             }
             let pipeline = verify_pair_soa(cand.view(), &query.ctx, tau, func, scratch);
             assert_eq!(

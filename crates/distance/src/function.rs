@@ -43,6 +43,63 @@ pub enum IndexMode {
     Scan,
 }
 
+impl IndexMode {
+    /// The endpoint-pair budget rule (§5.2; Appendix A for the functions
+    /// beside DTW): whether a pair of sides may hold an answer within `tau`
+    /// given `df`, a lower bound on the distance between their first
+    /// points, and `dl`, the same for their last points. A side is a
+    /// trajectory or a partition summarised by its endpoint MBRs;
+    /// `min_len_a` / `min_len_b` are the sides' (shortest) lengths. The
+    /// global index, the join's partition-pair screen and its shipped-row
+    /// screen all decide with this one rule.
+    ///
+    /// * `Additive` (DTW): the first points share the alignment's first
+    ///   cell and the last points its last, so `df + dl ≤ τ` — unless both
+    ///   sides may be a single point, whose alignment is one cell holding
+    ///   both: `max(df, dl) ≤ τ`.
+    /// * `Max` (Fréchet): `df ≤ τ` and `dl ≤ τ`.
+    /// * `EditCount`, symmetric (EDR): an endpoint pair farther apart than
+    ///   ϵ costs one edit. When either side may be a single point its first
+    ///   and last coincide, and the charge is capped at one edit (the
+    ///   weakest sound cap; requiring both sides to be single points is
+    ///   ROADMAP item 3's to prove).
+    /// * `EditCount`, asymmetric (LCSS) and `Scan` (ERP) admit everything:
+    ///   LCSS's shorter side may match an endpoint to any of the other's
+    ///   first (last) δ + 1 points for free, and ERP may delete endpoints
+    ///   at gap cost.
+    #[inline]
+    pub fn endpoints_admit(
+        self,
+        df: f64,
+        dl: f64,
+        min_len_a: usize,
+        min_len_b: usize,
+        tau: f64,
+    ) -> bool {
+        match self {
+            IndexMode::Additive if min_len_a <= 1 && min_len_b <= 1 => df.max(dl) <= tau,
+            IndexMode::Additive => df + dl <= tau,
+            IndexMode::Max => df <= tau && dl <= tau,
+            IndexMode::EditCount {
+                eps,
+                symmetric: true,
+            } => {
+                let (f, l) = (usize::from(df > eps), usize::from(dl > eps));
+                let edits = if min_len_a <= 1 || min_len_b <= 1 {
+                    f.max(l)
+                } else {
+                    f + l
+                };
+                edits as f64 <= tau
+            }
+            IndexMode::EditCount {
+                symmetric: false, ..
+            }
+            | IndexMode::Scan => true,
+        }
+    }
+}
+
 /// A trajectory distance function with its parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DistanceFunction {
@@ -241,6 +298,56 @@ mod tests {
             DistanceFunction::Erp { gap: (0.0, 0.0) }.distance(a, b),
             erp::erp(a, b, &g)
         );
+    }
+
+    #[test]
+    fn endpoint_rule_arms_and_monotonicity() {
+        let edr = IndexMode::EditCount {
+            eps: 1.0,
+            symmetric: true,
+        };
+        let lcss = IndexMode::EditCount {
+            eps: 1.0,
+            symmetric: false,
+        };
+        // DTW: two cells, one when both sides may be a single point.
+        assert!(!IndexMode::Additive.endpoints_admit(2.0, 2.0, 1, 2, 3.0));
+        assert!(IndexMode::Additive.endpoints_admit(2.0, 2.0, 1, 1, 3.0));
+        // Fréchet: each endpoint against τ on its own.
+        assert!(IndexMode::Max.endpoints_admit(3.0, 3.0, 2, 2, 3.0));
+        assert!(!IndexMode::Max.endpoints_admit(3.5, 0.0, 1, 1, 3.0));
+        // EDR: one edit an unmatched endpoint, one in all when either side
+        // may be a single point.
+        assert!(!edr.endpoints_admit(2.0, 2.0, 2, 2, 1.0));
+        assert!(edr.endpoints_admit(2.0, 2.0, 2, 1, 1.0));
+        assert!(edr.endpoints_admit(2.0, 2.0, 1, 2, 1.0));
+        assert!(!edr.endpoints_admit(2.0, 0.5, 1, 1, 0.5));
+        // LCSS and ERP are not pruned by endpoints; a NaN τ admits nothing
+        // that is pruned by them.
+        assert!(lcss.endpoints_admit(9.0, 9.0, 3, 3, 0.0));
+        assert!(IndexMode::Scan.endpoints_admit(9.0, 9.0, 3, 3, 0.0));
+        assert!(!edr.endpoints_admit(0.0, 0.0, 2, 2, f64::NAN));
+        // A partition summary only ever loosens the rule: a larger MBR
+        // lowers `df`/`dl`, a shorter member lowers a `min_len`, and
+        // neither turns an admission into a rejection.
+        let grid = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
+        for mode in [IndexMode::Additive, IndexMode::Max, edr, lcss] {
+            for &df in &grid {
+                for &dl in &grid {
+                    for (la, lb) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+                        for &tau in &grid {
+                            if !mode.endpoints_admit(df, dl, la, lb, tau) {
+                                continue;
+                            }
+                            assert!(mode.endpoints_admit(df * 0.5, dl, la, lb, tau));
+                            assert!(mode.endpoints_admit(df, dl * 0.5, la, lb, tau));
+                            assert!(mode.endpoints_admit(df, dl, 1, lb, tau));
+                            assert!(mode.endpoints_admit(df, dl, la, 1, tau));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

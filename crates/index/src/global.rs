@@ -57,15 +57,9 @@ impl GlobalIndex {
     /// Partitions that may contain trajectories similar to a query whose
     /// first point is `first` and last point is `last` (§5.2), sorted by id.
     ///
-    /// The budget semantics follow the distance function's [`IndexMode`]:
-    ///
-    /// * `Additive` (DTW, ERP): `MinDist(q1, MBR_f) + MinDist(qn, MBR_l) ≤ τ`.
-    /// * `Max` (Fréchet): both MinDists ≤ τ.
-    /// * `EditCount`, symmetric (EDR): an endpoint farther than ϵ from its
-    ///   MBR costs one edit; a partition stays relevant while the edit
-    ///   count ≤ τ. LCSS keeps every partition: an endpoint of its shorter
-    ///   side may match any of the other's first (last) δ + 1 points for
-    ///   free, and the endpoint MBRs bound only the first (last) one.
+    /// A partition stays while [`IndexMode::endpoints_admit`] — the
+    /// endpoint-pair budget rule, written once beside the enum — admits
+    /// `MinDist(q1, MBR_f)` and `MinDist(qn, MBR_l)` under `tau`.
     pub fn relevant_partitions(
         &self,
         first: &Point,
@@ -78,7 +72,7 @@ impl GlobalIndex {
             return Vec::new();
         }
         match mode {
-            IndexMode::Scan => (0..self.mbrs.len()).collect(),
+            // The R-trees pre-screen each endpoint against τ on its own.
             IndexMode::Additive | IndexMode::Max => {
                 let mut first_hits = vec![f64::NAN; self.mbrs.len()];
                 self.rtree_first
@@ -93,50 +87,23 @@ impl GlobalIndex {
                             return; // not in C_f
                         }
                         let dl = mbr.min_dist_point(last);
-                        let ok = match mode {
-                            // The endpoint sum uses two distinct DTW cells only
-                            // when some side has ≥ 2 points; a 1-point member
-                            // against a 1-point query shares the single cell.
-                            IndexMode::Additive => {
-                                if query_len <= 1 && self.min_lens[id] <= 1 {
-                                    df.max(dl) <= tau
-                                } else {
-                                    df + dl <= tau
-                                }
-                            }
-                            _ => true, // Max: both already ≤ τ individually
-                        };
-                        if ok {
+                        if mode.endpoints_admit(df, dl, query_len, self.min_lens[id], tau) {
                             out.push(id);
                         }
                     });
                 out.sort_unstable();
                 out
             }
-            IndexMode::EditCount { eps, symmetric } => {
-                // Edit budgets are small integers; enumerate the O(N_G²)
-                // partition table directly.
-                if !symmetric {
-                    return (0..self.mbrs.len()).collect();
-                }
-                let budget = tau.floor() as i64;
-                let mut out = Vec::new();
-                for (id, (mf, ml)) in self.mbrs.iter().enumerate() {
-                    let f_miss = i64::from(mf.min_dist_point(first) > eps);
-                    let l_miss = i64::from(ml.min_dist_point(last) > eps);
-                    // A single-point member's first and last are the same
-                    // point — one edit covers both misses.
-                    let edits = if self.min_lens[id] <= 1 {
-                        f_miss.max(l_miss)
-                    } else {
-                        f_miss + l_miss
-                    };
-                    if edits <= budget {
-                        out.push(id);
-                    }
-                }
-                out
-            }
+            // Edit budgets are small integers (and LCSS and ERP keep every
+            // partition): enumerate the O(N_G²) partition table directly.
+            IndexMode::EditCount { .. } | IndexMode::Scan => (0..self.mbrs.len())
+                .filter(|&id| {
+                    let (mf, ml) = &self.mbrs[id];
+                    let df = mf.min_dist_point(first);
+                    let dl = ml.min_dist_point(last);
+                    mode.endpoints_admit(df, dl, query_len, self.min_lens[id], tau)
+                })
+                .collect(),
         }
     }
 
@@ -190,9 +157,9 @@ mod tests {
         let rel = g.relevant_partitions(&q_first, &q_last, 3, 1.0, IndexMode::Additive);
         assert!(!rel.is_empty());
         for p in &parts.partitions {
-            let df = p.mbr_first.min_dist_point(&q_first);
-            let dl = p.mbr_last.min_dist_point(&q_last);
-            if df + dl <= 1.0 {
+            let to_first = p.mbr_first.min_dist_point(&q_first);
+            let to_last = p.mbr_last.min_dist_point(&q_last);
+            if to_first + to_last <= 1.0 {
                 assert!(rel.contains(&p.id), "missed partition {}", p.id);
             } else {
                 assert!(!rel.contains(&p.id), "kept prunable partition {}", p.id);

@@ -8,6 +8,8 @@
 //!   over last-point MBRs (§4.2.2, §5.2).
 //! * [`trie`] — the (K+2)-level trie local index with the accumulated-budget
 //!   filter and the ordered-suffix optimization (§4.2.3, §5.3).
+//! * [`fanout`] — the ordered parallel map the build and planning paths
+//!   share, with the helper-thread CPU time the cost model charges.
 //! * [`flat`] — the succinct flat encoding the trie is stored in: a
 //!   fixed-width node arena whose records address children and members as
 //!   ranges, plus trajectory storage pooled in the tree's leaf order.
@@ -16,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod fanout;
 pub mod flat;
 pub mod global;
 pub mod partitioner;
@@ -23,6 +26,7 @@ pub mod pivot;
 pub mod pointer;
 pub mod trie;
 
+pub use fanout::FanOut;
 pub use flat::{EntryRef, FlatNodes, NodeRec, TrajStore};
 pub use global::GlobalIndex;
 pub use partitioner::{

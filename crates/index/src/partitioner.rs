@@ -9,6 +9,7 @@
 //! in the same partition — the data-locality property the paper's Appendix B
 //! ablation (Figure 13) measures against random partitioning.
 
+use crate::fanout::FanOut;
 use dita_trajectory::{Mbr, Point, Trajectory};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -66,39 +67,23 @@ impl Partitioning {
     }
 }
 
-/// Splits `idx` (already containing indices into `keys`) into `n` STR tiles
-/// by the associated points: sort by x, cut into `ceil(sqrt(n))` vertical
-/// slabs, sort each slab by y and cut into enough rows that the total tile
-/// count is exactly `n` (empty tiles are possible only when there are fewer
-/// items than tiles).
-fn str_tiles(keys: &[Point], idx: Vec<usize>, n: usize) -> Vec<Vec<usize>> {
-    str_tiles_pub(keys, idx, n)
-}
-
-/// Stable sort of `idx` on a pool: chunks are sorted in parallel and merged
-/// pairwise with a left-run-first tie rule, which reproduces the exact
-/// permutation of a serial (stable) `sort_by` for every thread count.
-fn par_sort_stable<F>(
-    idx: Vec<usize>,
-    pool: &rayon::ThreadPool,
-    threads: usize,
-    cmp: &F,
-) -> Vec<usize>
+/// Stable sort of `idx` over a fan-out: one run a thread is sorted in
+/// parallel and the runs merged pairwise with a left-run-first tie rule,
+/// which reproduces the exact permutation of a serial (stable) `sort_by`
+/// for every thread count.
+fn par_sort_stable<F>(mut idx: Vec<usize>, fan: &FanOut, cmp: &F) -> Vec<usize>
 where
     F: Fn(usize, usize) -> Ordering + Sync,
 {
-    let n = idx.len();
-    let chunk = n.div_ceil(threads.max(1));
-    if chunk == 0 || chunk >= n {
-        let mut idx = idx;
+    let chunk = idx.len().div_ceil(fan.threads());
+    if chunk <= 1 || chunk >= idx.len() {
         idx.sort_by(|&a, &b| cmp(a, b));
         return idx;
     }
-    let mut runs: Vec<Vec<usize>> = idx.chunks(chunk).map(|c| c.to_vec()).collect();
-    pool.scope(|s| {
-        for run in runs.iter_mut() {
-            s.spawn(move |_| run.sort_by(|&a, &b| cmp(a, b)));
-        }
+    let runs: Vec<Vec<usize>> = idx.chunks(chunk).map(|c| c.to_vec()).collect();
+    let mut runs = fan.map(runs, |mut run| {
+        run.sort_by(|&a, &b| cmp(a, b));
+        run
     });
     // Pairwise merges of adjacent runs keep the concatenation order, so
     // stability (equal keys keep their original relative order) holds.
@@ -197,20 +182,19 @@ fn adjust_cut(sorted: &[usize], key: impl Fn(usize) -> f64, b: usize, max_shift:
     }
 }
 
-/// STR tiling of indexed points into exactly `n` tiles; shared with the trie
-/// index, which tiles on per-level indexing points.
+/// STR tiling of indexed points into exactly `n` tiles: sort by x, cut into
+/// `ceil(sqrt(n))` vertical slabs, sort each slab by y and cut into enough
+/// rows that the total tile count is exactly `n` (empty tiles are possible
+/// only when there are fewer items than tiles). Shared with the trie index,
+/// which tiles on per-level indexing points.
+// lint: allow(unpriced-parallelism, reason = "a fan-out of one thread maps inline: there is no helper CPU to charge")
 pub fn str_tiles_pub(keys: &[Point], idx: Vec<usize>, n: usize) -> Vec<Vec<usize>> {
-    str_tiles_with(keys, idx, n, None)
+    str_tiles_with(keys, idx, n, &FanOut::new(1))
 }
 
-/// [`str_tiles_pub`] with an optional `(pool, threads)` for the x-sort and
-/// the per-slab y-sorts. The output is identical with and without a pool.
-fn str_tiles_with(
-    keys: &[Point],
-    mut idx: Vec<usize>,
-    n: usize,
-    pool: Option<(&rayon::ThreadPool, usize)>,
-) -> Vec<Vec<usize>> {
+/// [`str_tiles_pub`] with the x-sort and the per-slab y-sorts spread over
+/// `fan`. The output is identical for every thread count.
+fn str_tiles_with(keys: &[Point], idx: Vec<usize>, n: usize, fan: &FanOut) -> Vec<Vec<usize>> {
     assert!(n >= 1);
     if n == 1 || idx.len() <= 1 {
         let mut out = vec![idx];
@@ -227,12 +211,7 @@ fn str_tiles_with(
             .total_cmp(&keys[b].x)
             .then(keys[a].y.total_cmp(&keys[b].y))
     };
-    match pool {
-        Some((pool, threads)) if idx.len() > threads.max(1) => {
-            idx = par_sort_stable(idx, pool, threads, &cmp_x);
-        }
-        _ => idx.sort_by(|&a, &b| cmp_x(a, b)),
-    }
+    let idx = par_sort_stable(idx, fan, &cmp_x);
     // Slab boundaries are sequential — each cut depends on the previous —
     // but cheap: only the sorts below them dominate.
     let total = idx.len();
@@ -260,27 +239,8 @@ fn str_tiles_with(
         tiles_done += tiles_here;
         slab_specs.push((slab, tiles_here));
     }
-    // Row cuts: slabs are disjoint, so their y-sorts run in parallel when a
-    // pool exists, landing in pre-assigned slots to keep slab order.
-    let groups: Vec<Vec<Vec<usize>>> = match pool {
-        Some((pool, _)) if slab_specs.len() > 1 => {
-            let mut slots: Vec<Option<Vec<Vec<usize>>>> = Vec::new();
-            slots.resize_with(slab_specs.len(), || None);
-            pool.scope(|s| {
-                for ((slab, rows), slot) in slab_specs.into_iter().zip(slots.iter_mut()) {
-                    s.spawn(move |_| *slot = Some(cut_slab(keys, slab, rows)));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("slab slot left unfilled"))
-                .collect()
-        }
-        _ => slab_specs
-            .into_iter()
-            .map(|(slab, rows)| cut_slab(keys, slab, rows))
-            .collect(),
-    };
+    // Row cuts: slabs are disjoint, so their y-sorts fan out.
+    let groups = fan.map(slab_specs, |(slab, rows)| cut_slab(keys, slab, rows));
     let out: Vec<Vec<usize>> = groups.into_iter().flatten().collect();
     debug_assert_eq!(out.len(), n);
     out
@@ -305,7 +265,7 @@ fn split_bucket(
     ng: usize,
 ) -> Vec<Partition> {
     let mut out = Vec::new();
-    for sub in str_tiles(lasts, bucket, ng) {
+    for sub in str_tiles_pub(lasts, bucket, ng) {
         if sub.is_empty() {
             continue;
         }
@@ -334,9 +294,8 @@ fn split_bucket(
 }
 
 /// [`str_partitioning`] on `threads` threads: key extraction, the top-level
-/// x-sort, slab y-sorts and the per-bucket second-level tilings all run on a
-/// scoped pool. The partitioning is identical for every thread count
-/// (results land in pre-assigned slots; the parallel sort is stable).
+/// x-sort, slab y-sorts and the per-bucket second-level tilings all fan out.
+/// The partitioning is identical for every thread count.
 ///
 /// Partitioning runs on the driver, outside any cluster task, so — unlike
 /// `TrieIndex::build_timed` — there is no task to charge helper CPU back to.
@@ -350,81 +309,21 @@ pub fn str_partitioning_par(
     threads: usize,
 ) -> Partitioning {
     assert!(ng >= 1, "NG must be at least 1");
-    let threads = threads.max(1);
-    let n = trajectories.len();
-    let pool = if threads > 1 && n > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .ok()
-    } else {
-        None
-    };
+    let fan = FanOut::new(threads);
 
     // Key extraction: first/last point per trajectory.
-    let (firsts, lasts): (Vec<Point>, Vec<Point>) = match &pool {
-        None => (
-            trajectories.iter().map(|t| *t.first()).collect(),
-            trajectories.iter().map(|t| *t.last()).collect(),
-        ),
-        Some(pool) => {
-            let mut firsts = vec![Point::new(0.0, 0.0); n];
-            let mut lasts = vec![Point::new(0.0, 0.0); n];
-            let chunk = n.div_ceil(threads * 4).max(1);
-            pool.scope(|s| {
-                for ((ts, fs), ls) in trajectories
-                    .chunks(chunk)
-                    .zip(firsts.chunks_mut(chunk))
-                    .zip(lasts.chunks_mut(chunk))
-                {
-                    s.spawn(move |_| {
-                        for ((t, f), l) in ts.iter().zip(fs.iter_mut()).zip(ls.iter_mut()) {
-                            *f = *t.first();
-                            *l = *t.last();
-                        }
-                    });
-                }
-            });
-            (firsts, lasts)
-        }
-    };
+    let (firsts, lasts): (Vec<Point>, Vec<Point>) = fan
+        .map(trajectories, |t| (*t.first(), *t.last()))
+        .into_iter()
+        .unzip();
 
-    let all: Vec<usize> = (0..n).collect();
-    let buckets = str_tiles_with(&firsts, all, ng, pool.as_ref().map(|p| (p, threads)));
+    let all: Vec<usize> = (0..trajectories.len()).collect();
+    let buckets = str_tiles_with(&firsts, all, ng, &fan);
 
     // Second level: buckets are independent of one another.
-    let groups: Vec<Vec<Partition>> = match &pool {
-        Some(pool) if buckets.iter().filter(|b| b.len() > 1).count() > 1 => {
-            let mut slots: Vec<Option<Vec<Partition>>> = Vec::new();
-            slots.resize_with(buckets.len(), || None);
-            let (ts, fs, ls) = (trajectories, firsts.as_slice(), lasts.as_slice());
-            pool.scope(|s| {
-                for (bucket, slot) in buckets.into_iter().zip(slots.iter_mut()) {
-                    s.spawn(move |_| {
-                        *slot = Some(if bucket.is_empty() {
-                            Vec::new()
-                        } else {
-                            split_bucket(ts, fs, ls, bucket, ng)
-                        });
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("bucket slot left unfilled"))
-                .collect()
-        }
-        _ => buckets
-            .into_iter()
-            .map(|bucket| {
-                if bucket.is_empty() {
-                    Vec::new()
-                } else {
-                    split_bucket(trajectories, &firsts, &lasts, bucket, ng)
-                }
-            })
-            .collect(),
-    };
+    let groups = fan.map(buckets, |bucket| {
+        split_bucket(trajectories, &firsts, &lasts, bucket, ng)
+    });
 
     let mut partitions = Vec::new();
     for group in groups {

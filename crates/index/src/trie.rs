@@ -31,6 +31,7 @@
 //! leaf — is one function, [`suffix_scan`], streaming the query's
 //! coordinates from two contiguous arrays the probe fills once.
 
+use crate::fanout::FanOut;
 use crate::flat::{EntryRef, FlatNodes, TrajStore};
 use crate::partitioner::str_tiles_pub as str_tiles;
 use crate::pivot::{select_pivots, PivotStrategy};
@@ -39,7 +40,6 @@ use dita_distance::DistanceFunction;
 use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, Trajectory};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Host parallelism — the default for [`TrieConfig::build_threads`].
@@ -1081,10 +1081,10 @@ impl TrieIndex {
     }
 }
 
-/// The layout-independent first half of a trie build: parallel
-/// per-trajectory preprocessing into order-preserving slots, then root-tile
-/// splitting with per-tile subtree construction (parallel when a pool
-/// exists), then the serial pass that hands out the local ids
+/// The layout-independent first half of a trie build: per-trajectory
+/// preprocessing, then root-tile splitting with per-tile subtree
+/// construction (both fanned out over `config.build_threads`, in input
+/// order), then the serial pass that hands out the local ids
 /// ([`cluster_members`]). Returns the preprocessed members in input order,
 /// the order vector (`order[i]` is the input position of local id `i`), the
 /// pending subtrees in tile order with their members as local ids, and the
@@ -1096,111 +1096,23 @@ pub(crate) fn build_pending(
     trajectories: Vec<Trajectory>,
     config: &TrieConfig,
 ) -> (Vec<IndexedTrajectory>, Vec<u32>, Vec<PendingNode>, Duration) {
-    let threads = config.build_threads.max(1);
-    let pool = if threads > 1 && trajectories.len() > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .ok()
-    } else {
-        None
-    };
-    let helper_ns = AtomicU64::new(0);
+    let fan = FanOut::new(config.build_threads);
 
     // --- 1. Per-trajectory preprocessing (pivots, MBR, SoA) ---
-    let data: Vec<IndexedTrajectory> = match &pool {
-        None => trajectories
-            .into_iter()
-            .map(|t| IndexedTrajectory::new(t, config.k, config.strategy, config.cell_side))
-            .collect(),
-        Some(pool) => {
-            // ~4 chunks per thread, results landing in pre-assigned
-            // slots so the data order (and thus every local id) matches
-            // the serial build.
-            let n = trajectories.len();
-            let chunk = n.div_ceil(threads * 4).max(1);
-            let mut batches: Vec<Vec<Trajectory>> = Vec::with_capacity(n.div_ceil(chunk));
-            let mut it = trajectories.into_iter();
-            loop {
-                let batch: Vec<Trajectory> = it.by_ref().take(chunk).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                batches.push(batch);
-            }
-            let mut slots: Vec<Option<Vec<IndexedTrajectory>>> = Vec::new();
-            slots.resize_with(batches.len(), || None);
-            let helper = &helper_ns;
-            pool.scope(|s| {
-                for (batch, slot) in batches.into_iter().zip(slots.iter_mut()) {
-                    s.spawn(move |_| {
-                        let t0 = dita_obs::thread_cpu_time();
-                        *slot = Some(
-                            batch
-                                .into_iter()
-                                .map(|t| {
-                                    IndexedTrajectory::new(
-                                        t,
-                                        config.k,
-                                        config.strategy,
-                                        config.cell_side,
-                                    )
-                                })
-                                .collect(),
-                        );
-                        let dt = dita_obs::thread_cpu_time().saturating_sub(t0);
-                        helper.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .flat_map(|s| s.expect("preprocessing slot left unfilled"))
-                .collect()
-        }
-    };
+    let data: Vec<IndexedTrajectory> = fan.map(trajectories, |t| {
+        IndexedTrajectory::new(t, config.k, config.strategy, config.cell_side)
+    });
 
     // --- 2. Tree construction ---
     // The root level is split serially; each root tile's subtree is then
-    // built independently (in parallel when a pool exists — the spawns
-    // are non-nested, so per-spawn CPU deltas account every helper
-    // cycle exactly once) and flattened into the arena in tile order.
+    // built independently and flattened into the arena in tile order.
     let all: Vec<usize> = (0..data.len()).collect();
     let root_tiles = split_tiles(&data, config, all, 1);
-    let mut pending: Vec<PendingNode> = match &pool {
-        None => root_tiles
-            .into_iter()
-            .map(|t| build_subtree(&data, config, t))
-            .collect(),
-        Some(pool) => {
-            let mut slots: Vec<Option<PendingNode>> = Vec::new();
-            slots.resize_with(root_tiles.len(), || None);
-            let helper = &helper_ns;
-            let data_ref = &data;
-            pool.scope(|s| {
-                for (tile, slot) in root_tiles.into_iter().zip(slots.iter_mut()) {
-                    s.spawn(move |_| {
-                        let t0 = dita_obs::thread_cpu_time();
-                        *slot = Some(build_subtree(data_ref, config, tile));
-                        let dt = dita_obs::thread_cpu_time().saturating_sub(t0);
-                        helper.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("subtree slot left unfilled"))
-                .collect()
-        }
-    };
+    let mut pending: Vec<PendingNode> =
+        fan.map(root_tiles, |tile| build_subtree(&data, config, tile));
     let mut order = Vec::with_capacity(data.len());
     cluster_members(&mut pending, &mut order);
-    (
-        data,
-        order,
-        pending,
-        Duration::from_nanos(helper_ns.load(Ordering::Relaxed)),
-    )
+    (data, order, pending, fan.helper_cpu())
 }
 
 #[cfg(test)]

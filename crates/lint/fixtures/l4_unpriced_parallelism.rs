@@ -20,3 +20,15 @@ fn priced_pool(items: &[u64]) -> u64 {
     charge_compute(thread_cpu_time().saturating_sub(t0));
     out
 }
+
+fn broken_fan_out(items: &[u64]) -> Vec<u64> {
+    // Builds the shared fan-out and drops the helper CPU time it kept.
+    let fan = FanOut::new(4);
+    fan.map(items, |x| x * 2)
+}
+
+fn priced_fan_out(items: &[u64]) -> (Vec<u64>, Duration) {
+    let fan = FanOut::new(4);
+    let out = fan.map(items, |x| x * 2);
+    (out, fan.helper_cpu())
+}

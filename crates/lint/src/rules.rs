@@ -80,8 +80,11 @@ const EXECUTOR_CALLS: &[&str] = &[".execute(", ".execute_try(", ".execute_dynami
 const COST_MODELED_PREFIXES: &[&str] =
     &["crates/index/src", "crates/core/src", "crates/ingest/src"];
 
+/// `FanOut::new(` is `dita_index::FanOut`, the workspace's one pool: a fn
+/// that builds one owes the cost model what `.helper_cpu()` returns.
 const POOL_TOKENS: &[&str] = &[
     "ThreadPoolBuilder",
+    "FanOut::new(",
     "thread::scope(",
     "rayon::scope(",
     ".par_iter(",
@@ -89,7 +92,7 @@ const POOL_TOKENS: &[&str] = &[
     ".into_par_iter(",
     ".par_chunks(",
 ];
-const CHARGE_TOKENS: &[&str] = &["charge_compute(", "thread_cpu_time("];
+const CHARGE_TOKENS: &[&str] = &["charge_compute(", "thread_cpu_time(", ".helper_cpu("];
 
 /// The crate owning the simulated network: a fn here that attaches
 /// shipment facts to spans or task costs feeds the critical-path
@@ -376,7 +379,7 @@ fn l4_unpriced_parallelism(rel: &str, src: &str, masked: &str, out: &mut Vec<Fin
                 line: line_of(src, f.start),
                 message: format!(
                     "fn `{}` spins up helper threads in a cost-modeled crate \
-                     without `charge_compute`/`thread_cpu_time` charge-back — \
+                     without `charge_compute`/`thread_cpu_time`/`helper_cpu` charge-back — \
                      the simulated cost model would under-price this work",
                     f.name
                 ),

@@ -932,7 +932,7 @@ fn price_and_classify(engine: &mut Engine, kind: &JobKind) -> Result<(u64, f64),
             func,
         } => {
             engine.ensure_index(table)?;
-            let n = engine.dataset(table)?.trajectories().len();
+            let n = engine.row_count(table)?;
             Ok((
                 class_of(&format!("knn:{table}:{func}:k={k}")),
                 (n * query.len()) as f64,
@@ -943,8 +943,8 @@ fn price_and_classify(engine: &mut Engine, kind: &JobKind) -> Result<(u64, f64),
         } => {
             engine.ensure_index(left)?;
             engine.ensure_index(right)?;
-            let nl = engine.dataset(left)?.trajectories().len();
-            let nr = engine.dataset(right)?.trajectories().len();
+            let nl = engine.row_count(left)?;
+            let nr = engine.row_count(right)?;
             let cost = (nl as f64) * (nr as f64);
             Ok((class_of(&format!("join:{left}:{right}:{func}")), cost))
         }

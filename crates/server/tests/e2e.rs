@@ -366,7 +366,7 @@ fn ingest_write_path_flows_through_http() {
     );
     let engine = server.shutdown().unwrap();
     assert_eq!(
-        engine.dataset("taxi").unwrap().trajectories().len(),
+        engine.row_count("taxi").unwrap(),
         figure1_trajectories().len(),
         "id 9 came and went; ids 10 and 11 were never stored"
     );
@@ -629,7 +629,7 @@ fn new_requests_after_stop_get_503_and_inserts_survive_shutdown_flush() {
         "shutdown must flush pending deltas"
     );
     let live: Vec<u64> = engine
-        .dataset("taxi")
+        .snapshot("taxi")
         .unwrap()
         .trajectories()
         .iter()

@@ -1,6 +1,6 @@
 //! The DataFrame API (§3): the programmatic equivalent of the extended SQL,
-//! mirroring how the paper exposes search and join "over DataFrame objects
-//! using a domain-specific language".
+//! the way the paper exposes search and join "over DataFrame objects using
+//! a domain-specific language".
 
 use crate::engine::Engine;
 use crate::error::SqlError;
@@ -35,13 +35,7 @@ impl DataFrame<'_> {
 
     /// Number of rows.
     pub fn count(&mut self) -> usize {
-        match self
-            .engine
-            .execute(&format!("SELECT * FROM {}", self.table))
-        {
-            Ok(crate::engine::QueryResult::Rows(rows)) => rows.len(),
-            _ => 0,
-        }
+        self.engine.row_count(&self.table).unwrap_or(0)
     }
 
     /// Collects all rows.

@@ -7,6 +7,7 @@ use dita_cluster::Cluster;
 use dita_core::{join, knn_search, search_batch, DitaConfig, DitaSystem, JoinOptions};
 use dita_distance::DistanceFunction;
 use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The result of executing a statement.
@@ -26,9 +27,16 @@ pub enum QueryResult {
     Plan(String),
 }
 
-struct TableEntry {
-    dataset: Dataset,
-    system: Option<DitaSystem>,
+/// A table's one store: the rows it was registered with until an index is
+/// built over them, the index from then on. The trie index is clustered
+/// (§4.2.3) — the trajectories live in it — so an index with a second copy
+/// of the rows beside it is not something this type can hold.
+// A catalog has a handful of tables and every served one ends up `Indexed`:
+// boxing the large variant would buy nothing.
+#[allow(clippy::large_enum_variant)]
+enum Table {
+    Rows(Dataset),
+    Indexed(DitaSystem),
 }
 
 /// A SQL engine over a simulated cluster.
@@ -39,7 +47,7 @@ struct TableEntry {
 pub struct Engine {
     cluster: Cluster,
     config: DitaConfig,
-    tables: BTreeMap<String, TableEntry>,
+    tables: BTreeMap<String, Table>,
 }
 
 impl Engine {
@@ -58,10 +66,8 @@ impl Engine {
     /// service-side spans parent over operator spans.
     pub fn attach_obs(&mut self, obs: dita_obs::Obs) {
         self.cluster.attach_obs(obs.clone());
-        for entry in self.tables.values_mut() {
-            if let Some(sys) = entry.system.as_mut() {
-                sys.attach_obs(obs.clone());
-            }
+        for sys in self.systems_mut() {
+            sys.attach_obs(obs.clone());
         }
     }
 
@@ -71,13 +77,7 @@ impl Engine {
         if self.tables.contains_key(&key) {
             return Err(SqlError::DuplicateTable { name: name.into() });
         }
-        self.tables.insert(
-            key,
-            TableEntry {
-                dataset,
-                system: None,
-            },
-        );
+        self.tables.insert(key, Table::Rows(dataset));
         Ok(())
     }
 
@@ -88,50 +88,73 @@ impl Engine {
 
     /// Whether a table currently has a trie index.
     pub fn is_indexed(&self, name: &str) -> bool {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .is_some_and(|t| t.system.is_some())
+        self.system(name).is_some()
     }
 
     /// The trie-indexed system of a table, if one has been built.
     pub fn system(&self, name: &str) -> Option<&DitaSystem> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .and_then(|t| t.system.as_ref())
+        match self.entry(name) {
+            Ok(Table::Indexed(sys)) => Some(sys),
+            _ => None,
+        }
     }
 
-    /// The registered dataset of a table.
-    pub fn dataset(&self, name: &str) -> Result<&Dataset, SqlError> {
-        self.entry(name).map(|e| &e.dataset)
+    /// The number of rows in a table.
+    pub fn row_count(&self, name: &str) -> Result<usize, SqlError> {
+        Ok(match self.entry(name)? {
+            Table::Rows(dataset) => dataset.len(),
+            Table::Indexed(sys) => sys.len(),
+        })
     }
 
-    fn entry(&self, name: &str) -> Result<&TableEntry, SqlError> {
+    /// A copy of a table's rows as they stand: an unindexed table's as it
+    /// keeps them, an indexed table's live rows (base minus tombstones plus
+    /// deltas) read out of the index in id order.
+    pub fn snapshot(&self, name: &str) -> Result<Dataset, SqlError> {
+        Ok(match self.entry(name)? {
+            Table::Rows(dataset) => dataset.clone(),
+            Table::Indexed(sys) => Dataset::new_unchecked(sys.name(), sys.live_trajectories()),
+        })
+    }
+
+    fn entry(&self, name: &str) -> Result<&Table, SqlError> {
         self.tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| SqlError::UnknownTable { name: name.into() })
     }
 
-    fn entry_mut(&mut self, name: &str) -> Result<&mut TableEntry, SqlError> {
+    fn entry_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| SqlError::UnknownTable { name: name.into() })
     }
 
-    /// Builds (or reuses) the trie index of a table and returns it.
+    fn systems_mut(&mut self) -> impl Iterator<Item = &mut DitaSystem> {
+        self.tables.values_mut().filter_map(|table| match table {
+            Table::Indexed(sys) => Some(sys),
+            Table::Rows(_) => None,
+        })
+    }
+
+    /// Builds (or reuses) the trie index of a table and returns it. The
+    /// index takes the table over: the registered rows are dropped once it
+    /// holds them.
     pub fn ensure_index(&mut self, name: &str) -> Result<&DitaSystem, SqlError> {
-        let key = name.to_ascii_lowercase();
-        if !self.tables.contains_key(&key) {
-            return Err(SqlError::UnknownTable { name: name.into() });
-        }
-        let entry = self.tables.get_mut(&key).expect("checked above");
-        if entry.system.is_none() {
-            entry.system = Some(DitaSystem::build(
-                &entry.dataset,
+        let table = self
+            .tables
+            .get_mut(&name.to_ascii_lowercase())
+            .ok_or_else(|| SqlError::UnknownTable { name: name.into() })?;
+        if let Table::Rows(dataset) = table {
+            *table = Table::Indexed(DitaSystem::build(
+                dataset,
                 self.config,
                 self.cluster.clone(),
             ));
         }
-        Ok(entry.system.as_ref().expect("just built"))
+        match table {
+            Table::Indexed(sys) => Ok(sys),
+            Table::Rows(_) => unreachable!("indexed above"),
+        }
     }
 
     /// Returns the EXPLAIN string for a statement without executing it.
@@ -193,8 +216,7 @@ impl Engine {
                     }
                 }
             }
-            let entry = self.entry(&table)?;
-            let system = entry.system.as_ref().expect("planner checked the index");
+            let system = self.system(&table).expect("planner checked the index");
             let qs: Vec<&[Point]> = queries.iter().map(|(q, _)| q.as_slice()).collect();
             let taus: Vec<f64> = queries.iter().map(|&(_, tau)| tau).collect();
             let (results, _) = search_batch(system, &qs, &taus, &func);
@@ -204,69 +226,51 @@ impl Engine {
         Ok(out)
     }
 
-    /// Upserts `rows` into a table (the `INSERT` write path): latest write
-    /// wins in the dataset mirror, and, when the table is indexed, each row
-    /// goes through the index's delta ingestion. Returns the row count.
+    /// Upserts `rows` into a table (the `INSERT` write path), latest write
+    /// wins: through the index's delta ingestion when the table is indexed,
+    /// into the registered rows otherwise. Every row is validated before
+    /// the table is touched, so a refused batch leaves it as it was.
+    /// Returns the row count.
     pub fn insert_rows(
         &mut self,
         table: &str,
         rows: Vec<(TrajectoryId, Vec<Point>)>,
     ) -> Result<usize, SqlError> {
+        let refuse = |message: &str| SqlError::Parse {
+            message: message.into(),
+        };
         for (_, pts) in &rows {
+            if pts.is_empty() {
+                return Err(refuse("a trajectory needs at least one point"));
+            }
             if pts.iter().any(|p| !p.x.is_finite() || !p.y.is_finite()) {
-                return Err(SqlError::Parse {
-                    message: "trajectory coordinates must be finite".into(),
-                });
+                return Err(refuse("trajectory coordinates must be finite"));
             }
         }
-        let entry = self.entry_mut(table)?;
         let n = rows.len();
-        let name = entry.dataset.name.clone();
-        let mut trajectories = std::mem::replace(
-            &mut entry.dataset,
-            Dataset::new_unchecked(name.clone(), Vec::new()),
-        )
-        .into_trajectories();
-        for (id, pts) in rows {
-            let t = Trajectory::new(id, pts);
-            // Latest write wins, in the dataset mirror and the index.
-            trajectories.retain(|x| x.id != id);
-            trajectories.push(t.clone());
-            if let Some(sys) = entry.system.as_mut() {
-                sys.insert(t);
-            }
+        let rows = rows.into_iter().map(|(id, pts)| Trajectory::new(id, pts));
+        match self.entry_mut(table)? {
+            Table::Indexed(sys) => rows.for_each(|t| sys.insert(t)),
+            // Unindexed rows have no other store: an O(N) pass a row.
+            Table::Rows(dataset) => dataset.upsert(rows),
         }
-        trajectories.sort_by_key(|t| t.id);
-        entry.dataset = Dataset::new_unchecked(name, trajectories);
         Ok(n)
     }
 
-    /// Deletes one trajectory by id (the `DELETE` write path): removed from
-    /// the dataset mirror, tombstoned in the index when one exists. Returns
-    /// whether the id was present.
+    /// Deletes one trajectory by id (the `DELETE` write path): tombstoned
+    /// in the index when the table has one, removed from the registered
+    /// rows otherwise. Returns whether the id was present.
     pub fn delete_row(&mut self, table: &str, id: TrajectoryId) -> Result<bool, SqlError> {
-        let entry = self.entry_mut(table)?;
-        let name = entry.dataset.name.clone();
-        let mut trajectories = std::mem::replace(
-            &mut entry.dataset,
-            Dataset::new_unchecked(name.clone(), Vec::new()),
-        )
-        .into_trajectories();
-        let before = trajectories.len();
-        trajectories.retain(|t| t.id != id);
-        let removed = before != trajectories.len();
-        entry.dataset = Dataset::new_unchecked(name, trajectories);
-        if let Some(sys) = entry.system.as_mut() {
-            sys.delete(id);
-        }
-        Ok(removed)
+        Ok(match self.entry_mut(table)? {
+            Table::Indexed(sys) => sys.delete(id),
+            Table::Rows(dataset) => dataset.remove(id),
+        })
     }
 
     /// Flushes a table's pending deltas into its trie index. A no-op (and
     /// not an error) when the table has no index yet.
     pub fn flush(&mut self, table: &str) -> Result<(), SqlError> {
-        let entry = self.entry_mut(table)?;
-        if let Some(sys) = entry.system.as_mut() {
+        if let Table::Indexed(sys) = self.entry_mut(table)? {
             sys.flush();
         }
         Ok(())
@@ -275,18 +279,16 @@ impl Engine {
     /// Runs the compaction policy on a table's index; returns whether a
     /// compaction actually happened (`false` for unindexed tables too).
     pub fn compact(&mut self, table: &str) -> Result<bool, SqlError> {
-        let entry = self.entry_mut(table)?;
-        Ok(entry.system.as_mut().is_some_and(|sys| sys.compact()))
+        Ok(match self.entry_mut(table)? {
+            Table::Indexed(sys) => sys.compact(),
+            Table::Rows(_) => false,
+        })
     }
 
     /// Flushes pending deltas on every indexed table — the shutdown hook
     /// `dita-server` calls so no acknowledged write is left buffered.
     pub fn flush_all(&mut self) {
-        for entry in self.tables.values_mut() {
-            if let Some(sys) = entry.system.as_mut() {
-                sys.flush();
-            }
-        }
+        self.systems_mut().for_each(DitaSystem::flush);
     }
 
     fn plan(&self, sql: &str) -> Result<PhysicalPlan, SqlError> {
@@ -306,8 +308,7 @@ impl Engine {
     fn run_plan(&mut self, plan: PhysicalPlan) -> Result<QueryResult, SqlError> {
         match plan {
             PhysicalPlan::FullScan { table } => {
-                let entry = self.entry(&table)?;
-                Ok(QueryResult::Rows(entry.dataset.trajectories().to_vec()))
+                Ok(QueryResult::Rows(self.entry(&table)?.rows().into_owned()))
             }
             PhysicalPlan::IndexSearch { .. } => {
                 unreachable!("execute_batch answers indexed searches itself")
@@ -318,12 +319,9 @@ impl Engine {
                 query,
                 tau,
             } => {
-                let entry = self.entry(&table)?;
+                let rows = self.entry(&table)?.rows();
                 Ok(QueryResult::SearchHits(scan_search(
-                    entry.dataset.trajectories(),
-                    &query,
-                    tau,
-                    &func,
+                    &rows, &query, tau, &func,
                 )))
             }
             PhysicalPlan::IndexKnn {
@@ -332,8 +330,7 @@ impl Engine {
                 query,
                 k,
             } => {
-                self.ensure_index(&table)?;
-                let system = self.entry(&table)?.system.as_ref().expect("built");
+                let system = self.ensure_index(&table)?;
                 let (hits, _) = knn_search(system, &query, k, &func);
                 Ok(QueryResult::SearchHits(hits))
             }
@@ -347,8 +344,8 @@ impl Engine {
                 self.entry(&right)?;
                 self.ensure_index(&left)?;
                 self.ensure_index(&right)?;
-                let lsys = self.entry(&left)?.system.as_ref().expect("built");
-                let rsys = self.entry(&right)?.system.as_ref().expect("built");
+                let lsys = self.system(&left).expect("built");
+                let rsys = self.system(&right).expect("built");
                 let (pairs, _) = join(lsys, rsys, tau, &func, &JoinOptions::default());
                 Ok(QueryResult::JoinPairs(pairs))
             }
@@ -372,6 +369,17 @@ impl Engine {
             }
             PhysicalPlan::ListTables => Ok(QueryResult::TableNames(self.table_names())),
             PhysicalPlan::Explain(inner) => Ok(QueryResult::Plan(inner.describe())),
+        }
+    }
+}
+
+impl Table {
+    /// The table's rows: an unindexed table's in place, an indexed table's
+    /// live view read out of the index in id order.
+    fn rows(&self) -> Cow<'_, [Trajectory]> {
+        match self {
+            Table::Rows(dataset) => Cow::Borrowed(dataset.trajectories()),
+            Table::Indexed(sys) => Cow::Owned(sys.live_trajectories()),
         }
     }
 }
@@ -570,7 +578,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // The dataset mirror has it too (scan path).
+        // A full scan reads it out of the index too.
         match e.execute("SELECT * FROM taxi").unwrap() {
             QueryResult::Rows(rows) => assert_eq!(rows.len(), 6),
             other => panic!("{other:?}"),
@@ -726,16 +734,16 @@ mod tests {
             .unwrap();
         assert_eq!(at, 3);
         assert_eq!(batch_err, serial_err);
-        let rows = batch_engine.dataset("taxi").unwrap().trajectories();
-        assert!(rows.iter().any(|t| t.id == 77));
-        assert_eq!(rows, serial_engine.dataset("taxi").unwrap().trajectories());
+        let rows = batch_engine.snapshot("taxi").unwrap();
+        assert!(rows.trajectories().iter().any(|t| t.id == 77));
+        assert_eq!(rows, serial_engine.snapshot("taxi").unwrap());
     }
 
     #[test]
     fn programmatic_ingest_flush_and_compact() {
         let mut e = engine();
         e.execute("CREATE INDEX i ON taxi USE TRIE").unwrap();
-        // insert_rows / delete_row mirror the SQL write path.
+        // insert_rows / delete_row are the SQL write path.
         let n = e
             .insert_rows(
                 "taxi",
@@ -743,7 +751,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 1);
-        assert_eq!(e.dataset("taxi").unwrap().trajectories().len(), 6);
+        assert_eq!(e.row_count("taxi").unwrap(), 6);
         // After a flush nothing is left in the unflushed tail (the
         // compaction policy may have already folded the delta on insert —
         // either way the invariant holds).
@@ -752,7 +760,7 @@ mod tests {
         let _ = e.compact("taxi").unwrap();
         assert!(e.delete_row("taxi", 42).unwrap());
         assert!(!e.delete_row("taxi", 42).unwrap());
-        assert_eq!(e.dataset("taxi").unwrap().trajectories().len(), 5);
+        assert_eq!(e.row_count("taxi").unwrap(), 5);
         // flush_all drains every indexed table.
         e.insert_rows("taxi", vec![(43, vec![Point { x: 1.0, y: 1.0 }])])
             .unwrap();
@@ -776,6 +784,39 @@ mod tests {
                 )]
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_the_table_as_it_was() {
+        let good = vec![Point { x: 9.0, y: 9.0 }];
+        let bad_rows = [
+            vec![],
+            vec![Point {
+                x: 0.0,
+                y: f64::INFINITY,
+            }],
+        ];
+        for indexed in [true, false] {
+            let mut e = engine();
+            if indexed {
+                e.execute("CREATE INDEX i ON taxi USE TRIE").unwrap();
+            }
+            let before = e.snapshot("taxi").unwrap();
+            for bad in &bad_rows {
+                // The first row is fine (a new id and an overwrite of id 1);
+                // the second is refused, and takes the first with it.
+                for id in [42, 1] {
+                    let batch = vec![(id, good.clone()), (43, bad.clone())];
+                    assert!(matches!(
+                        e.insert_rows("taxi", batch),
+                        Err(SqlError::Parse { .. })
+                    ));
+                    assert_eq!(e.snapshot("taxi").unwrap(), before, "indexed: {indexed}");
+                    assert_eq!(e.row_count("taxi").unwrap(), 5);
+                }
+            }
+            assert_eq!(e.is_indexed("taxi"), indexed);
+        }
     }
 
     #[test]

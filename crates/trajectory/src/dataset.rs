@@ -87,6 +87,26 @@ impl Dataset {
         &self.trajectories
     }
 
+    /// Upserts `rows` in order — a row replaces the trajectory that has
+    /// its id, so the latest write wins and ids stay unique — and leaves
+    /// the dataset in id order. One pass over the dataset a row; finite
+    /// coordinates are the caller's to check, as with
+    /// [`Dataset::new_unchecked`].
+    pub fn upsert(&mut self, rows: impl IntoIterator<Item = Trajectory>) {
+        for t in rows {
+            self.trajectories.retain(|x| x.id != t.id);
+            self.trajectories.push(t);
+        }
+        self.trajectories.sort_by_key(|t| t.id);
+    }
+
+    /// Removes the trajectory with this id; whether there was one.
+    pub fn remove(&mut self, id: TrajectoryId) -> bool {
+        let before = self.trajectories.len();
+        self.trajectories.retain(|t| t.id != id);
+        before != self.trajectories.len()
+    }
+
     /// Number of trajectories.
     #[inline]
     pub fn len(&self) -> usize {
@@ -218,6 +238,24 @@ mod tests {
         assert_eq!(s.total_points, 28);
         assert!((s.avg_len - 5.6).abs() < 1e-12);
         assert!(s.size_bytes > 0);
+    }
+
+    #[test]
+    fn upsert_and_remove_keep_ids_unique() {
+        let mut d = Dataset::new("fig1", figure1_trajectories()).unwrap();
+        // A new id, an overwrite, and the new id again: the last one wins.
+        d.upsert([
+            Trajectory::from_coords(9, &[(0.0, 0.0)]),
+            Trajectory::from_coords(2, &[(7.0, 7.0)]),
+            Trajectory::from_coords(9, &[(1.0, 1.0)]),
+        ]);
+        let ids: Vec<TrajectoryId> = d.trajectories().iter().map(|t| t.id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5, 9]);
+        assert_eq!(d.trajectories()[1].points(), &[Point::new(7.0, 7.0)]);
+        assert_eq!(d.trajectories()[5].points(), &[Point::new(1.0, 1.0)]);
+        assert!(d.remove(9));
+        assert!(!d.remove(9));
+        assert_eq!(d.len(), 5);
     }
 
     #[test]

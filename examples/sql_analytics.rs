@@ -22,7 +22,7 @@ fn main() {
     run(&mut engine, "SHOW TABLES");
 
     // Take a real trip as the query literal.
-    let q = &sample_queries(engine.dataset("taxi").unwrap(), 1, 1)[0];
+    let q = &sample_queries(&engine.snapshot("taxi").unwrap(), 1, 1)[0];
     let literal: Vec<String> = q
         .points()
         .iter()

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # The local CI gate: formatting, release build, full test suite, clippy
 # clean, dita-lint clean. Run before every push.
+#
+#   scripts/check.sh [parent-ref]
+#
+# Given a parent ref it ends with the change's net Rust lines
+# (scripts/loc.sh), the number a CHANGES.md entry quotes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,4 +50,7 @@ cargo run -p dita-lint --release --quiet -- --workspace --deny --out results/lin
 # critical-path attribution (~100%), and refreshes the checked-in
 # artifact the critpath golden test pins.
 scripts/profile_smoke.sh results/PROFILE_SMOKE.json > /dev/null
+if [ $# -ge 1 ]; then
+  scripts/loc.sh "$1"
+fi
 echo "check.sh: all green"

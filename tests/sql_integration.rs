@@ -38,7 +38,7 @@ fn literal_for(points: &[dita::trajectory::Point]) -> String {
 #[test]
 fn scan_and_index_plans_agree_on_real_data() {
     let mut e = engine_with(300);
-    let q = sample_queries(e.dataset("trips").unwrap(), 1, 2)[0].clone();
+    let q = sample_queries(&e.snapshot("trips").unwrap(), 1, 2)[0].clone();
     let sql = format!(
         "SELECT * FROM trips WHERE DTW(trips, {}) <= 0.003",
         literal_for(q.points())
@@ -86,7 +86,7 @@ fn sql_join_equals_dataframe_join() {
 fn every_distance_function_usable_from_sql() {
     let mut e = engine_with(150);
     e.execute("CREATE INDEX idx ON trips USE TRIE").unwrap();
-    let q = sample_queries(e.dataset("trips").unwrap(), 1, 6)[0].clone();
+    let q = sample_queries(&e.snapshot("trips").unwrap(), 1, 6)[0].clone();
     let lit = literal_for(q.points());
     for (func, tau) in [
         ("DTW", "0.003"),
@@ -138,10 +138,10 @@ fn sql_dml_round_trips_through_the_index() {
         QueryResult::SearchHits(hits) => assert!(hits.is_empty()),
         other => panic!("{other:?}"),
     }
-    assert_eq!(e.dataset("trips").unwrap().len(), 200);
+    assert_eq!(e.row_count("trips").unwrap(), 200);
 
     // DELETE an original trip and check a self-match query no longer returns it.
-    let q = sample_queries(e.dataset("trips").unwrap(), 1, 4)[0].clone();
+    let q = sample_queries(&e.snapshot("trips").unwrap(), 1, 4)[0].clone();
     let self_probe = format!(
         "SELECT * FROM trips WHERE DTW(trips, {}) <= 0.003",
         literal_for(q.points())
@@ -158,13 +158,13 @@ fn sql_dml_round_trips_through_the_index() {
         }
         other => panic!("{other:?}"),
     }
-    assert_eq!(e.dataset("trips").unwrap().len(), 199);
+    assert_eq!(e.row_count("trips").unwrap(), 199);
 }
 
 #[test]
 fn threshold_expressions_fold() {
     let mut e = engine_with(100);
-    let q = sample_queries(e.dataset("trips").unwrap(), 1, 6)[0].clone();
+    let q = sample_queries(&e.snapshot("trips").unwrap(), 1, 6)[0].clone();
     let lit = literal_for(q.points());
     let a = match e
         .execute(&format!(
