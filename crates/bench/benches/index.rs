@@ -1,8 +1,8 @@
 //! Index micro-benchmarks: pivot selection, partitioning, trie construction
 //! and the trie filter.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dita_datagen::{beijing_like, sample_queries};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use dita_datagen::{beijing_like, chengdu_like, sample_queries};
 use dita_distance::DistanceFunction;
 use dita_index::{
     random_partitioning, select_pivots, str_partitioning, GlobalIndex, PivotStrategy, PointerTrie,
@@ -160,6 +160,49 @@ fn bench_trie_probe(c: &mut Criterion) {
     g.finish();
 }
 
+/// One partition of the `join_self` benchmark's shape probing itself, as a
+/// diagonal edge of the self-join does: a row at a time (the local join
+/// before `probe_rows`: copy the row out, count its candidates from the
+/// root) against a leaf of rows at a time. Both arms are priced in the
+/// unordered candidate pairs `(s, c)`, `c ≥ s`, the join goes on to verify.
+fn bench_trie_probe_rows(c: &mut Criterion) {
+    let d = chengdu_like(30_000, 1);
+    let parts = str_partitioning(d.trajectories(), 8);
+    let part = &parts.partitions[parts.partitions.len() / 2];
+    let rows: Vec<_> = part
+        .members
+        .iter()
+        .map(|&m| d.trajectories()[m].clone())
+        .collect();
+    let trie = TrieIndex::build(rows, TrieConfig::default());
+    let ids: Vec<u32> = (0..trie.len() as u32).collect();
+    let points: Vec<_> = ids.iter().map(|&s| trie.get(s).points_vec()).collect();
+    let (tau, dtw) = (0.003, DistanceFunction::Dtw);
+    let mut scratch = dita_index::ProbeScratch::new();
+    let mut pairs = 0u64;
+    trie.probe_rows(&trie, &ids, tau, &dtw, &mut scratch, |_, _| pairs += 1);
+
+    let mut g = c.benchmark_group("index/trie-probe");
+    g.throughput(Throughput::Elements(pairs));
+    g.bench_function(format!("per-row-{}", trie.len()), |b| {
+        b.iter(|| {
+            let mut both_orders = 0;
+            for q in &points {
+                both_orders += trie.candidate_count(q, tau, &dtw, &mut scratch);
+            }
+            black_box(both_orders)
+        })
+    });
+    g.bench_function(format!("rows-{}", trie.len()), |b| {
+        b.iter(|| {
+            let mut once = 0u64;
+            trie.probe_rows(&trie, &ids, tau, &dtw, &mut scratch, |_, _| once += 1);
+            black_box(once)
+        })
+    });
+    g.finish();
+}
+
 fn bench_global(c: &mut Criterion) {
     let d = beijing_like(8_000, 8);
     let parts = str_partitioning(d.trajectories(), 8);
@@ -188,6 +231,7 @@ criterion_group!(
     bench_partitioning,
     bench_trie,
     bench_trie_probe,
+    bench_trie_probe_rows,
     bench_global
 );
 criterion_main!(benches);

@@ -29,6 +29,12 @@
 //! the candidates before it to those rows' own probes and answers itself
 //! with `0.0`. Planning, shipping and verification run on half the graph;
 //! the result is the two-table path's, triple for triple.
+//!
+//! **One candidate generator.** Every edge, diagonal or not, and every
+//! replica slot hands its shipped rows to
+//! [`TrieIndex::probe_rows`](dita_index::TrieIndex::probe_rows): the
+//! destination trie is walked once per leaf of shipped rows, not once per
+//! row, and on a diagonal edge the pairs `c < sid` are never tested.
 
 use crate::feedback::CostFeedback;
 use crate::system::DitaSystem;
@@ -37,9 +43,9 @@ use dita_cluster::JobStats;
 use dita_distance::function::IndexMode;
 use dita_distance::kernel::Scratch;
 use dita_distance::DistanceFunction;
-use dita_index::{EntryRef, FanOut, ProbeScratch, TrieIndex};
+use dita_index::{FanOut, FilterStats, ProbeScratch};
 use dita_obs::names;
-use dita_trajectory::{Point, TrajectoryId};
+use dita_trajectory::TrajectoryId;
 use std::time::Duration;
 
 /// Which load-balancing stages to apply — the knob behind the Figure 16
@@ -117,6 +123,12 @@ pub struct JoinStats {
     /// unordered pair once and counts it once, `(a, a)` included, so this
     /// can be below `results`, which counts both orders.
     pub candidates: usize,
+    /// The local joins' trie-filter funnel, summed over every edge and
+    /// replica slot, in [`dita_index::TrieIndex::probe_rows`]' units: a
+    /// node test is one rectangle test for a whole leaf of shipped rows, a
+    /// member test one (shipped row, stored member) pair.
+    /// `filter.candidates() == candidates`.
+    pub filter: FilterStats,
     /// What verification made of those candidates, stage by stage. A
     /// self-join answers `(a, a)` without verifying it, so
     /// `verify.candidates` can be below `candidates`.
@@ -346,14 +358,15 @@ fn join_base(
     let self_join = std::ptr::eq(t_sys, q_sys);
     let self_is_zero = self_distance_is_zero(func);
     let (outputs, job) = cluster.execute_dynamic(tasks, move |(slot, eis): (usize, Vec<usize>)| {
-        let mut candidates = 0usize;
+        let mut filter = FilterStats::default();
         let mut stages = VerifyStats::default();
         let mut pairs: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
         let mut scratch = Scratch::new();
-        // One probe state and one filter → verify buffer for every row
-        // this task ships.
-        let mut probe = RowProbe::default();
-        let mut probes: Vec<(u32, Vec<u32>)> = Vec::new();
+        // One probe state, one list of this slot's rows and one filter →
+        // verify buffer for every edge this task runs.
+        let mut probe = ProbeScratch::new();
+        let mut rows: Vec<u32> = Vec::new();
+        let mut cands: Vec<(u32, u32)> = Vec::new();
         for ei in eis {
             // Nested under the executor's worker task span.
             let e = &edges_ref[ei];
@@ -367,33 +380,40 @@ fn join_base(
             let nslots = replica_counts_ref[dst_node];
             let src_trie = src_sys.trie(src_pid);
             let dst_trie = dst_sys.trie(dst_pid);
-            // One trie on both sides: row `c` probes it too and finds
-            // `(c, sid)` itself, so `sid` keeps only `c ≥ sid`. This holds
-            // per replica slot (every shipped row is probed by exactly one)
-            // and for a `c` that is not shipped (it has no partner here).
+            // One trie on both sides (`probe_rows` sees it is): row `c`
+            // probes it too and finds `(c, sid)` itself, so `sid` is only
+            // paired with `c ≥ sid`. This holds per replica slot (every
+            // shipped row is probed by exactly one) and for a `c` that is
+            // not shipped (it has no partner here).
             let diagonal = self_join && src_pid == dst_pid;
-            // Filter stage: probe the destination trie with every shipped
-            // trajectory, buffering the candidate lists so the verify
-            // stage gets its own span (mirroring the search task's
-            // filter → verify split for the critical-path analyzer).
+            // Filter stage: probe the destination trie with this slot's
+            // shipped rows, buffering the pairs so the verify stage gets
+            // its own span (mirroring the search task's filter → verify
+            // split for the critical-path analyzer).
+            rows.clear();
+            rows.extend(shipped.iter().skip(slot).step_by(nslots.max(1)));
+            cands.clear();
             {
                 let _fspan = dita_obs::span!(obs, names::SPAN_FILTER, pid = dst_pid);
-                for &sid in shipped.iter().skip(slot).step_by(nslots.max(1)) {
-                    let mut cands = probe.candidates(src_trie.get(sid), dst_trie, tau, func);
-                    if diagonal {
-                        cands.retain(|&c| c >= sid);
-                    }
-                    candidates += cands.len();
-                    probes.push((sid, cands));
-                }
+                filter.merge(&dst_trie.probe_rows(
+                    src_trie,
+                    &rows,
+                    tau,
+                    func,
+                    &mut probe,
+                    |sid, c| cands.push((sid, c)),
+                ));
             }
             let _vspan = dita_obs::span!(obs, names::SPAN_VERIFY, pid = dst_pid);
-            for (sid, cands) in probes.drain(..) {
-                // The shipped row's clustered-index artifacts (MBR,
-                // coordinates) are the query, read in place.
+            // The pairs arrive grouped by (leaf of shipped rows, node), a
+            // row's next to each other: the shipped row's clustered-index
+            // artifacts (MBR, coordinates) are the query, read in place and
+            // prepared once per stretch.
+            for stretch in cands.chunk_by(|a, b| a.0 == b.0) {
+                let sid = stretch[0].0;
                 let s = CandidateView::from(src_trie.get(sid));
                 let side = QuerySide::new(s.mbr, s.soa, func);
-                for c in cands {
+                for &(_, c) in stretch {
                     if diagonal && c == sid && self_is_zero {
                         pairs.push((s.id, s.id, 0.0));
                         continue;
@@ -416,7 +436,7 @@ fn join_base(
                 }
             }
         }
-        (candidates, stages, pairs)
+        (filter, stages, pairs)
     });
 
     // Close the planning loop: per destination node, pair the compute the
@@ -434,18 +454,20 @@ fn join_base(
         let prior = feedback.node(node).map_or(0.0, |o| o.predicted_comp);
         feedback.set_predicted(node, prior + comp);
     }
-    let mut candidates = 0usize;
+    let mut filter = FilterStats::default();
     let mut verify = VerifyStats::default();
     let mut results: Vec<(TrajectoryId, TrajectoryId, f64)> = Vec::new();
-    for ((c, stages, pairs), cost) in outputs.into_iter().zip(&job.task_costs) {
+    for ((task_filter, stages, pairs), cost) in outputs.into_iter().zip(&job.task_costs) {
         if let Some(node) = cost.partition {
-            feedback.observe(node, c as f64, cost.compute_sec, cost.bytes);
+            let pairs = task_filter.candidates() as f64;
+            feedback.observe(node, pairs, cost.compute_sec, cost.bytes);
         }
-        candidates += c;
+        filter.merge(&task_filter);
         verify.merge(&stages);
         results.extend(pairs);
     }
     results.sort_by_key(|a| (a.0, a.1));
+    let candidates = filter.candidates();
 
     let shipped_bytes: u64 = edges
         .iter()
@@ -464,6 +486,7 @@ fn join_base(
             .add(candidates as u64);
         obs.counter(names::JOIN_RESULTS_TOTAL)
             .add(results.len() as u64);
+        filter.funnel(names::FUNNEL_TRIE_FILTER).record(obs);
         verify.funnel().record(obs);
         obs.gauge(names::JOIN_REPLICAS).set(replicas as f64);
         obs.histogram_seconds(names::JOIN_PLAN_SECONDS)
@@ -476,6 +499,7 @@ fn join_base(
         forward_edges,
         shipped_bytes,
         candidates,
+        filter,
         verify,
         results: results.len(),
         replicas,
@@ -500,8 +524,8 @@ fn join_base(
 /// The cheap MBR compatibility screen runs serially (it is O(1) per pair);
 /// the expensive part — `relevant_members` scans and `estimate_comp` trie
 /// probes per surviving pair — fans out over `opts.plan_threads` in pair
-/// order with one [`RowProbe`] a chunk, so the edge list is identical for
-/// every thread count.
+/// order with one [`ProbeScratch`] a chunk, so the edge list is identical
+/// for every thread count.
 fn build_edges(
     t_sys: &DitaSystem,
     q_sys: &DitaSystem,
@@ -534,7 +558,7 @@ fn build_edges(
 
     // --- Edge weighting (parallel across pairs) ---
     let nt = t_sys.num_partitions();
-    let weigh = |probe: &mut RowProbe, &(t_pid, q_pid): &(usize, usize)| -> Option<Edge> {
+    let weigh = |probe: &mut ProbeScratch, &(t_pid, q_pid): &(usize, usize)| -> Option<Edge> {
         let tp = &t_sys.partitioning().partitions[t_pid];
         let qp = &q_sys.partitioning().partitions[q_pid];
         // One partition on both sides: both directions ship the same rows
@@ -612,7 +636,7 @@ fn build_edges(
     let fan = FanOut::new(opts.plan_threads);
     // One probe a chunk of pairs: its buffers grow once (≈ 4 µs an edge).
     let edges = fan
-        .map_init(&pairs, RowProbe::default, weigh)
+        .map_init(&pairs, ProbeScratch::new, weigh)
         .into_iter()
         .flatten()
         .collect();
@@ -657,50 +681,6 @@ fn sample_indices(len: usize, sample_size: usize) -> impl Iterator<Item = usize>
     (0..sample).map(move |k| k * len / sample)
 }
 
-/// What one thread needs to probe tries with stored rows: the trie walk's
-/// scratch, and one point buffer a row's coordinates are copied into (the
-/// store keeps them as two arrays, the probe indexes points). Both grow to
-/// their working size once and serve every row after that.
-#[derive(Debug, Default)]
-struct RowProbe {
-    walk: ProbeScratch,
-    pts: Vec<Point>,
-}
-
-impl RowProbe {
-    fn load(&mut self, row: EntryRef<'_>) {
-        let soa = row.soa();
-        self.pts.clear();
-        self.pts.extend((0..soa.len()).map(|j| soa.point(j)));
-    }
-
-    /// The candidates of `row` in `trie`, ascending.
-    fn candidates(
-        &mut self,
-        row: EntryRef<'_>,
-        trie: &TrieIndex,
-        tau: f64,
-        func: &DistanceFunction,
-    ) -> Vec<u32> {
-        self.load(row);
-        trie.candidates_with_scratch(&self.pts, tau, func, &mut self.walk)
-            .0
-    }
-
-    /// `candidates(..).len()` without materializing the list
-    /// ([`TrieIndex::candidate_count`]).
-    fn count(
-        &mut self,
-        row: EntryRef<'_>,
-        trie: &TrieIndex,
-        tau: f64,
-        func: &DistanceFunction,
-    ) -> usize {
-        self.load(row);
-        trie.candidate_count(&self.pts, tau, func, &mut self.walk)
-    }
-}
-
 /// Whether `func(a, a)` is `+0.0` for every stored trajectory `a` — the
 /// licence for answering a self-join's `(a, a)` without the kernel (pinned
 /// by `tests/join_symmetry.rs`). Stored coordinates are finite, so every
@@ -732,7 +712,7 @@ fn estimate_comp(
     tau: f64,
     func: &DistanceFunction,
     opts: &JoinOptions,
-    probe: &mut RowProbe,
+    probe: &mut ProbeScratch,
 ) -> f64 {
     if ids.is_empty() {
         return 0.0;
@@ -742,13 +722,10 @@ fn estimate_comp(
     let mut total = 0usize;
     let mut taken = 0usize;
     for k in sample_indices(ids.len(), opts.sample_size) {
-        let row = src_trie.get(ids[k]);
-        total += if diagonal {
-            let cands = probe.candidates(row, dst_trie, tau, func);
-            cands.len() - cands.partition_point(|&c| c < ids[k])
-        } else {
-            probe.count(row, dst_trie, tau, func)
-        };
+        // The row's coordinates are the query, read in place.
+        let from = if diagonal { ids[k] } else { 0 };
+        let row = src_trie.get(ids[k]).soa();
+        dst_trie.probe_soa(row, tau, func, probe, |c| total += (c >= from) as usize);
         taken += 1;
     }
     total as f64 / taken as f64 * ids.len() as f64

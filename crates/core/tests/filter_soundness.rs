@@ -1,5 +1,5 @@
-//! Filter soundness: verification's rows and the endpoint-pair rule's
-//! (ROADMAP item 3).
+//! Filter soundness: verification's rows, the endpoint-pair rule's and the
+//! local join's run-level rule's (ROADMAP item 3).
 //!
 //! Every "≡" test in this repository compares two paths that share their
 //! filters. The only side with no filter is the kernel, so this harness
@@ -9,7 +9,9 @@
 //! returns, distance bits included. The endpoint-pair budget rule
 //! (`IndexMode::endpoints_admit`, which the global index, the join's
 //! partition-pair screen and its shipped-row screen all call) is held
-//! against the same kernel in both shapes it is used in.
+//! against the same kernel in both shapes it is used in, and so is the
+//! rectangle test `TrieIndex::probe_rows` puts in front of every trie node
+//! for a whole run of shipped rows, level kind by level kind.
 //!
 //! | stage | lemma | functions |
 //! |---|---|---|
@@ -20,6 +22,8 @@
 //! | magnitude | Chen & Ng, `ERP ≥ \|Σ dist(tᵢ, g) − Σ dist(qⱼ, g)\|` | ERP |
 //! | endpoints, point vs MBR (`relevant_partitions`, `relevant_members`) | §5.2; Appendix A for Fréchet, EDR, LCSS | all five |
 //! | endpoints, MBR vs MBR (`build_edges`' screen) | the same, §6.2 | all five |
+//! | run rectangles vs node MBR, first / last / pivot levels (`probe_rows`) | Lemma 5.1 with `MinDist(MBR, MBR) ≤ MinDist(point, MBR)` | DTW, Fréchet |
+//! | run rectangles vs node MBR, edit levels (`probe_rows`) | Appendix A's edit count, the same inequality | EDR, LCSS |
 //!
 //! The thresholds are the adversarial ones: 0, the kernel's own distance
 //! and one ulp either side of it, and one value in between. Trajectories of
@@ -31,7 +35,7 @@ use dita_core::verify::CandidateView;
 use dita_core::{try_verify_candidates, verify_pair_soa, QueryContext};
 use dita_distance::kernel::Scratch;
 use dita_distance::{bounds, DistanceFunction};
-use dita_index::{PivotStrategy, TrieConfig, TrieIndex};
+use dita_index::{PivotStrategy, ProbeScratch, TrieConfig, TrieIndex};
 use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, Trajectory};
 
 /// ERP's gap point sits at the centre of the grid, where every symmetry of
@@ -377,4 +381,159 @@ fn a_verified_list_is_the_kernels_answers_and_its_counts_add_up() {
     }
     // The cheap stages did run: the test is not vacuous.
     assert!(pruned[0] > 0 && pruned[1] > 0, "{pruned:?}");
+}
+
+/// How far inside the threshold a kernel-accepted pair must lie before the
+/// trie filter is required to keep it. The rows' own cascade subtracts a
+/// distance per level from τ where the kernel adds them up, so at a τ within
+/// a few ulps of the pair's distance it can come out an ulp below zero and
+/// reject (found by this file's run-rule case; ROADMAP item 3 lists it).
+/// The run rule adds no rejection of its own at any τ — that is the exact
+/// comparison with the rows' own probes — so the kernel comparison only has
+/// to step over the cascade's rounding.
+const CASCADE_SLACK: f64 = 1e-12;
+
+/// One trie node holding `rows` in input order: any ascending id list is
+/// one run of [`TrieIndex::probe_rows`].
+fn one_run_trie(rows: &[&Row], k: usize) -> TrieIndex {
+    let table = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Trajectory::new(i as u64, r.ctx.points().to_vec()))
+        .collect();
+    TrieIndex::build(
+        table,
+        TrieConfig {
+            k,
+            nl: 1,
+            leaf_capacity: usize::MAX,
+            ..TrieConfig::default()
+        },
+    )
+}
+
+/// The run-level rule of the local join on every run of 1–4 consecutive
+/// rows of `src` against a trie over `dst` in which every level exists
+/// (first point, last point, `k` pivots; under EDR and LCSS each of them is
+/// an edit level). At thresholds sitting on a distance of the run:
+///
+/// * it never rejects a node that some row's own `node_admits` admits —
+///   `probe_rows` emits exactly the pairs the rows' own probes emit;
+/// * it never rejects a pair the brute-force kernel accepts — held
+///   [`CASCADE_SLACK`] inside the threshold, see there.
+///
+/// The rule compares `MinDist(run rectangle, node MBR)` where a row's own
+/// cascade compares `MinDist(its point, node MBR)`: Lemma 5.1 (Appendix A's
+/// edit count under EDR and LCSS) with `MinDist(MBR, MBR) ≤ MinDist(point,
+/// MBR)` for a point inside the rectangle. Returns the pairs the kernel
+/// accepted.
+fn check_runs(src: &[&Row], dst: &[&Row], k: usize, nl: usize, scratch: &mut Scratch) -> usize {
+    let src_trie = one_run_trie(src, k);
+    let table = dst
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Trajectory::new(i as u64, r.ctx.points().to_vec()))
+        .collect();
+    let dst_trie = TrieIndex::build(
+        table,
+        TrieConfig {
+            k,
+            nl,
+            leaf_capacity: 0,
+            ..TrieConfig::default()
+        },
+    );
+    // Local id → input row, on both sides.
+    let src_row: Vec<&Row> = src_trie.entries().map(|e| src[e.id() as usize]).collect();
+    let dst_row: Vec<&Row> = dst_trie.entries().map(|e| dst[e.id() as usize]).collect();
+    let mut probe = ProbeScratch::new();
+    let mut accepted = 0;
+    for func in &FUNCS {
+        // The kernel's own distance of every pair, once.
+        let own: Vec<Vec<f64>> = src_row
+            .iter()
+            .map(|s| {
+                let q = s.soa().view();
+                dst_row
+                    .iter()
+                    .map(|c| {
+                        func.verify_soa(c.soa().view(), q, f64::INFINITY, scratch)
+                            .expect("no pair is farther than infinity")
+                    })
+                    .collect()
+            })
+            .collect();
+        for width in 1..=4 {
+            for first in (0..src.len() + 1 - width).step_by(width) {
+                let run: Vec<u32> = (first as u32..(first + width) as u32).collect();
+                let d = own[first][(7 * first) % dst.len()];
+                for tau in [0.0, d.next_down(), d, d.next_up(), 0.5 * d + 0.25] {
+                    let tau = tau.max(0.0);
+                    let mut got = Vec::new();
+                    dst_trie.probe_rows(&src_trie, &run, tau, func, &mut probe, |s, c| {
+                        got.push((s, c))
+                    });
+                    got.sort_unstable();
+                    let mut rows_own = Vec::new();
+                    for &s in &run {
+                        let q = src_row[s as usize].ctx.points();
+                        rows_own.extend(
+                            dst_trie
+                                .candidates(q, tau, func)
+                                .into_iter()
+                                .map(|c| (s, c)),
+                        );
+                    }
+                    assert_eq!(
+                        got, rows_own,
+                        "{func}: the run rule and the rows' own probes differ at tau {tau}, run {run:?}"
+                    );
+                    for &s in &run {
+                        for (c, &dist) in own[s as usize].iter().enumerate() {
+                            if dist * (1.0 + CASCADE_SLACK) <= tau {
+                                accepted += 1;
+                                assert!(
+                                    got.binary_search(&(s, c as u32)).is_ok(),
+                                    "{func}: the run rule rejects a pair the kernel accepts at tau \
+                                     {tau} (distance {dist}), run {run:?}: {:?} vs {:?}",
+                                    src_row[s as usize].ctx.points(),
+                                    dst_row[c].ctx.points()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    accepted
+}
+
+#[test]
+fn the_run_rule_rejects_no_node_a_row_admits_and_no_pair_the_kernel_accepts() {
+    let everywhere: Vec<(u32, u32)> = (0..16).map(|i| (i % 4, i / 4)).collect();
+    let mut rng = XorShift(0x5eed_2403);
+    let mut scratch = Scratch::new();
+    // The grid: every 1- and 2-point trajectory and a sample of the 3-point
+    // ones on both sides, neighbours in the enumeration sharing a run.
+    let grid: Vec<Row> = (1..=3).flat_map(|n| grid_rows(n, &everywhere)).collect();
+    let dst: Vec<&Row> = grid
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i < 272 || i % 17 == 0)
+        .map(|(_, r)| r)
+        .collect();
+    let src: Vec<&Row> = grid.iter().step_by(73).collect();
+    let mut accepted = check_runs(&src, &dst, 1, 3, &mut scratch);
+    // Seeded walks of 1–40 points: several pivots a row, long suffixes.
+    let walks: Vec<Row> = (0..200)
+        .map(|i| {
+            let len = 1 + (rng.next_u64() % 40) as usize;
+            Row::new(walk(len, [0.05, 0.6, 3.0][i % 3], &mut rng))
+        })
+        .collect();
+    let (src, dst): (Vec<&Row>, Vec<&Row>) =
+        (walks[..40].iter().collect(), walks[40..].iter().collect());
+    accepted += check_runs(&src, &dst, 3, 2, &mut scratch);
+    assert!(accepted > 100_000, "accepted cases: {accepted}");
 }

@@ -205,6 +205,42 @@ fn join_and_knn_get_top_level_spans() {
 }
 
 #[test]
+fn join_filter_funnel_is_consistent_with_join_stats() {
+    let sys = instrumented_system(2);
+    let (_, stats) = join(
+        &sys,
+        &sys,
+        3.0,
+        &DistanceFunction::Dtw,
+        &JoinOptions::default(),
+    );
+
+    // The local joins' filter funnel ends in the candidates they verified…
+    let funnel = stats.filter.funnel(dita_obs::names::FUNNEL_TRIE_FILTER);
+    assert!(stats.filter.nodes_visited > 0 && stats.candidates > 0);
+    assert_eq!(stats.filter.candidates(), stats.candidates);
+    assert_eq!(funnel.survivors() as usize, stats.candidates);
+    // … minus the `(a, a)` a self-join answers without verifying.
+    assert!(stats.verify.candidates <= stats.candidates);
+
+    // … and is recorded like a search's: no search ran here, so the
+    // registry's `trie-filter` funnel is the join's.
+    let report = sys.obs().report();
+    let pruned_sum: f64 = report
+        .metrics
+        .iter()
+        .filter(|m| m.name == "dita_funnel_pruned_total")
+        .filter(|m| {
+            m.labels
+                .iter()
+                .any(|(k, v)| k == "funnel" && *v == funnel.name)
+        })
+        .map(|m| m.value)
+        .sum();
+    assert_eq!(pruned_sum as u64, funnel.total_pruned());
+}
+
+#[test]
 fn unattached_system_records_nothing() {
     let dataset = Dataset::new("fig1", figure1_trajectories()).unwrap();
     let sys = DitaSystem::build(

@@ -227,7 +227,7 @@ impl PointerTrie {
                     node.depth,
                     node.min_len,
                     node.max_len,
-                    &query,
+                    query,
                     tau,
                     budget,
                     suffix,
@@ -248,7 +248,7 @@ impl PointerTrie {
                     stats.members_pruned_length += 1;
                     continue;
                 }
-                let admits = member_admits(&query, tau, &walk, &it.index_points, || {
+                let admits = member_admits(query, tau, &walk, &it.index_points, || {
                     (it.traj.len(), it.pivots.iter().copied(), it.soa.view())
                 });
                 if admits {

@@ -29,10 +29,16 @@
 //! the constant τ, EDR/LCSS count edits. The ordered-suffix scan itself —
 //! over a node's MBR on pivot levels, over a member's own pivots at the
 //! leaf — is one function, [`suffix_scan`], streaming the query's
-//! coordinates from two contiguous arrays the probe fills once.
+//! coordinates from two contiguous arrays: a stored row's or a prepared
+//! query's own, or the scratch's copy of a query that arrives as points.
+//!
+//! The local join (§6) probes with a leaf of stored rows at a time
+//! ([`TrieIndex::probe_rows`]): one walk of the destination per run of rows
+//! one source node owns, a rectangle test for the whole run in front of
+//! every node, each row's own unchanged cascade behind it.
 
 use crate::fanout::FanOut;
-use crate::flat::{EntryRef, FlatNodes, TrajStore};
+use crate::flat::{EntryRef, FlatNodes, NodeRec, TrajStore};
 use crate::partitioner::str_tiles_pub as str_tiles;
 use crate::pivot::{select_pivots, PivotStrategy};
 use dita_distance::function::IndexMode;
@@ -257,16 +263,25 @@ impl FilterStats {
 }
 
 /// Reusable traversal state for repeated trie probes: the explicit DFS
-/// stack the flat-layout walk runs on, and the probing query's coordinates
-/// as two contiguous arrays. Holding one across calls to
-/// [`TrieIndex::candidate_count`] or
-/// [`TrieIndex::candidates_with_scratch`] makes the probe allocation-free
-/// once the buffers have grown to their working size.
+/// stack the flat-layout walk runs on, two coordinate arrays for a query
+/// that arrives as `&[Point]`, and what [`TrieIndex::probe_rows`] keeps per
+/// run. Holding one across probes makes them allocation-free once the
+/// buffers have grown to their working size.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     stack: Vec<(u32, f64, usize)>,
     qx: Vec<f64>,
     qy: Vec<f64>,
+    /// [`TrieIndex::probe_rows`]: the nodes the run's rectangles admitted
+    /// and nobody has expanded yet.
+    run_nodes: Vec<u32>,
+    /// [`TrieIndex::probe_rows`]: the rows alive at each node of the path
+    /// to the node being expanded, root frame first.
+    alive: Vec<RowState>,
+    /// `alive[frames[d]..frames[d + 1]]` are the rows alive below the
+    /// path's node at depth `d`; depth 0 is the whole run, alive above the
+    /// roots.
+    frames: Vec<usize>,
 }
 
 impl ProbeScratch {
@@ -275,19 +290,20 @@ impl ProbeScratch {
         Self::default()
     }
 
-    /// Starts a probe with `q`: empties the stack and copies the query's
-    /// coordinates into the structure-of-arrays buffers, once per probe.
+    /// Starts a probe with a query held as points: empties the stack and
+    /// copies the coordinates into the two arrays the walk reads. A caller
+    /// that already holds a [`SoaView`] skips the copy
+    /// ([`TrieIndex::probe_soa`]).
     pub(crate) fn begin<'a>(
         &'a mut self,
-        q: &'a [Point],
-    ) -> (&'a mut Vec<(u32, f64, usize)>, ProbeQuery<'a>) {
+        q: &[Point],
+    ) -> (&'a mut Vec<(u32, f64, usize)>, SoaView<'a>) {
         self.stack.clear();
         self.qx.clear();
         self.qx.extend(q.iter().map(|p| p.x));
         self.qy.clear();
         self.qy.extend(q.iter().map(|p| p.y));
-        let query = ProbeQuery {
-            pts: q,
+        let query = SoaView {
             xs: &self.qx,
             ys: &self.qy,
         };
@@ -295,14 +311,14 @@ impl ProbeScratch {
     }
 }
 
-/// The query of one probe in both layouts: the caller's points, which the
-/// endpoint levels and the edit-family filters index, and the same
-/// coordinates as two contiguous arrays for [`suffix_scan`].
+/// One row of a run, as far down the destination trie as the walk has
+/// carried it: the `(budget, suffix)` its own [`node_admits`] cascade
+/// handed down.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeQuery<'a> {
-    pub(crate) pts: &'a [Point],
-    xs: &'a [f64],
-    ys: &'a [f64],
+struct RowState {
+    sid: u32,
+    budget: f64,
+    suffix: usize,
 }
 
 /// Independent running minima [`suffix_scan`] keeps, so the minimum has no
@@ -331,7 +347,7 @@ const LANES: usize = 4;
 /// as the reference in this module's tests).
 #[inline]
 pub(crate) fn suffix_scan(
-    q: &ProbeQuery<'_>,
+    q: SoaView<'_>,
     suffix: usize,
     budget_sq: f64,
     dist_sq: impl Fn(f64, f64) -> f64,
@@ -414,6 +430,18 @@ impl Walk {
     }
 }
 
+/// EDR length filter (Appendix A) on a subtree: every member has a length
+/// in `[node_min, node_max]` and every query one in `[q_min, q_max]` (a
+/// single query: its length twice; a run of rows: their range); `true` when
+/// `|m − n| > τ` holds for the whole of both intervals. Compared against
+/// the *original* τ — an edit already charged for a missed pivot may be the
+/// very deletion that explains the length gap, so the two budgets must not
+/// be combined.
+#[inline]
+fn edr_lengths_apart(node_min: u32, node_max: u32, q_min: f64, q_max: f64, tau: f64) -> bool {
+    node_min as f64 > q_max + tau || (node_max as f64) < q_min - tau
+}
+
 /// Evaluates one node's payload against the query: the EDR
 /// length-interval prune, the per-level MinDist (with the Lemma 5.1
 /// ordered-suffix scan on pivot levels) and the per-walk budget update.
@@ -431,7 +459,7 @@ pub(crate) fn node_admits(
     depth: u8,
     node_min_len: u32,
     node_max_len: u32,
-    query: &ProbeQuery<'_>,
+    q: SoaView<'_>,
     tau: f64,
     budget: f64,
     suffix: usize,
@@ -439,35 +467,26 @@ pub(crate) fn node_admits(
     stats: &mut FilterStats,
 ) -> Option<(f64, usize)> {
     stats.nodes_visited += 1;
-    let q = query.pts;
     let n = q.len();
-    // EDR length filter (Appendix A): every member of this subtree has
-    // length in [min_len, max_len]; prune when |m − n| > τ holds for the
-    // whole interval. Compared against the *original* τ — an edit
-    // already charged for a missed pivot may be the very deletion that
-    // explains the length gap, so the two budgets must not be combined.
-    if walk.is_edr()
-        && (node_min_len as f64 > n as f64 + tau || (node_max_len as f64) < n as f64 - tau)
-    {
+    if walk.is_edr() && edr_lengths_apart(node_min_len, node_max_len, n as f64, n as f64, tau) {
         stats.nodes_pruned_length += 1;
         return None;
     }
     // Distance of the query to this node's MBR, per level semantics.
     let (d, new_suffix) = match (depth, walk) {
-        (1, Walk::Additive | Walk::Max) => (mbr.min_dist_point(&q[0]), suffix),
-        (2, Walk::Additive | Walk::Max) => (mbr.min_dist_point(&q[n - 1]), suffix),
+        (1, Walk::Additive | Walk::Max) => (mbr.min_dist_point(&q.point(0)), suffix),
+        (2, Walk::Additive | Walk::Max) => (mbr.min_dist_point(&q.point(n - 1)), suffix),
         (_, Walk::Edit { .. }) => {
             // Edit-family: any query point may absorb this element.
-            let d = q
-                .iter()
-                .map(|p| mbr.min_dist_point_sq(p))
+            let d = (0..n)
+                .map(|j| mbr.min_dist_point_sq(&q.point(j)))
                 .fold(f64::INFINITY, f64::min)
                 .sqrt();
             (d, 0)
         }
         (_, Walk::Additive | Walk::Max) => {
             // Pivot level: ordered-suffix scan (Lemma 5.1).
-            let (best_sq, first_ok) = suffix_scan(query, suffix, budget * budget, |x, y| {
+            let (best_sq, first_ok) = suffix_scan(q, suffix, budget * budget, |x, y| {
                 mbr.min_dist_point_sq(&Point::new(x, y))
             });
             (best_sq.sqrt(), first_ok)
@@ -522,23 +541,23 @@ pub(crate) fn node_admits(
 /// comes from `edit_parts`, called on that arm alone, so a DTW or Fréchet
 /// probe touches one arena per member.
 pub(crate) fn member_admits<'m, I: Iterator<Item = usize>>(
-    query: &ProbeQuery<'_>,
+    q: SoaView<'_>,
     tau: f64,
     walk: &Walk,
     index_points: &[Point],
     edit_parts: impl FnOnce() -> (usize, I, SoaView<'m>),
 ) -> bool {
     let pts = index_points;
-    let q = query.pts;
     let n = q.len();
+    let (first, last) = (q.point(0), q.point(n - 1));
     match *walk {
         Walk::Additive => {
-            let mut budget = tau - pts[0].dist(&q[0]);
+            let mut budget = tau - pts[0].dist(&first);
             if budget < 0.0 {
                 return false;
             }
             if pts.len() > 1 {
-                budget -= pts[1].dist(&q[n - 1]);
+                budget -= pts[1].dist(&last);
                 if budget < 0.0 {
                     return false;
                 }
@@ -546,7 +565,7 @@ pub(crate) fn member_admits<'m, I: Iterator<Item = usize>>(
             // Ordered suffix scan over the pivots.
             let mut suffix = 0usize;
             for p in &pts[2.min(pts.len())..] {
-                let (best_sq, first_ok) = suffix_scan(query, suffix, budget * budget, |x, y| {
+                let (best_sq, first_ok) = suffix_scan(q, suffix, budget * budget, |x, y| {
                     p.dist_sq(&Point::new(x, y))
                 });
                 budget -= best_sq.sqrt();
@@ -558,17 +577,17 @@ pub(crate) fn member_admits<'m, I: Iterator<Item = usize>>(
             true
         }
         Walk::Max => {
-            if pts[0].dist(&q[0]) > tau {
+            if pts[0].dist(&first) > tau {
                 return false;
             }
-            if pts.len() > 1 && pts[1].dist(&q[n - 1]) > tau {
+            if pts.len() > 1 && pts[1].dist(&last) > tau {
                 return false;
             }
             let tau_sq = tau * tau;
             let mut suffix = 0usize;
             for p in &pts[2.min(pts.len())..] {
                 let (best_sq, first_ok) =
-                    suffix_scan(query, suffix, tau_sq, |x, y| p.dist_sq(&Point::new(x, y)));
+                    suffix_scan(q, suffix, tau_sq, |x, y| p.dist_sq(&Point::new(x, y)));
                 if best_sq > tau_sq {
                     return false;
                 }
@@ -599,7 +618,7 @@ pub(crate) fn member_admits<'m, I: Iterator<Item = usize>>(
 /// DP.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn edit_family_admits<I: Iterator<Item = usize>>(
-    q: &[Point],
+    q: SoaView<'_>,
     tau: f64,
     eps: f64,
     delta: Option<usize>,
@@ -628,13 +647,13 @@ pub(crate) fn edit_family_admits<I: Iterator<Item = usize>>(
                 continue; // m == 1: first and last are the same point
             }
             last_pos = pos;
-            let range = match delta {
+            let mut range = match delta {
                 // The paper's LCSS adaptation: only the part of the
                 // query fulfilling the index constraint can match.
                 Some(d) => pos.saturating_sub(d)..(pos + d + 1).min(n),
                 None => 0..n,
             };
-            let close = q[range].iter().any(|qj| p.dist_sq(qj) <= eps_sq);
+            let close = range.any(|j| p.dist_sq(&q.point(j)) <= eps_sq);
             if !close {
                 member_misses += 1;
                 if member_misses > cap {
@@ -651,12 +670,13 @@ pub(crate) fn edit_family_admits<I: Iterator<Item = usize>>(
     // side — so the two bounds are taken independently.
     if n < m {
         let mut query_misses = 0usize;
-        for (j, qj) in q.iter().enumerate() {
-            let range = match delta {
+        for j in 0..n {
+            let qj = q.point(j);
+            let mut range = match delta {
                 Some(d) => j.saturating_sub(d)..(j + d + 1).min(m),
                 None => 0..m,
             };
-            let close = range.clone().any(|ti| {
+            let close = range.any(|ti| {
                 let dx = soa.xs[ti] - qj.x;
                 let dy = soa.ys[ti] - qj.y;
                 dx * dx + dy * dy <= eps_sq
@@ -1005,10 +1025,28 @@ impl TrieIndex {
             .collect()
     }
 
-    /// The shared filter traversal behind [`TrieIndex::candidates_with_scratch`]
-    /// and [`TrieIndex::candidate_count`]: walks the flat node arena with an
-    /// explicit stack and calls `emit` for every member that survives the
-    /// whole funnel, in traversal order (unsorted, but free of duplicates).
+    /// The single-query probe for a query already held as two coordinate
+    /// arrays — a stored row read in place, a search's prepared query: no
+    /// copy, no list. Calls `emit` for every member that survives the whole
+    /// funnel, in traversal order (unsorted, free of duplicates: every
+    /// member lives in one node), and returns the funnel. The ids are the
+    /// ones [`TrieIndex::candidates`] returns for the same points.
+    pub fn probe_soa<F: FnMut(u32)>(
+        &self,
+        q: SoaView<'_>,
+        tau: f64,
+        func: &DistanceFunction,
+        scratch: &mut ProbeScratch,
+        emit: F,
+    ) -> FilterStats {
+        let mut stats = FilterStats::default();
+        scratch.stack.clear();
+        self.walk_query(q, tau, func, &mut stats, &mut scratch.stack, emit);
+        stats
+    }
+
+    /// [`TrieIndex::probe_soa`] for a query that arrives as points: the
+    /// scratch copies them into its two arrays first.
     fn probe<F: FnMut(u32)>(
         &self,
         q: &[Point],
@@ -1016,10 +1054,25 @@ impl TrieIndex {
         func: &DistanceFunction,
         stats: &mut FilterStats,
         scratch: &mut ProbeScratch,
-        mut emit: F,
+        emit: F,
     ) {
         let (stack, query) = scratch.begin(q);
-        if q.is_empty() || tau < 0.0 {
+        self.walk_query(query, tau, func, stats, stack, emit);
+    }
+
+    /// The one single-query filter traversal: walks the flat node arena
+    /// with an explicit stack, [`node_admits`] on every node reached and
+    /// [`member_admits`] on every member of an admitted node.
+    fn walk_query<F: FnMut(u32)>(
+        &self,
+        query: SoaView<'_>,
+        tau: f64,
+        func: &DistanceFunction,
+        stats: &mut FilterStats,
+        stack: &mut Vec<(u32, f64, usize)>,
+        mut emit: F,
+    ) {
+        if query.is_empty() || tau < 0.0 {
             return;
         }
         let Some(walk) = Walk::of(func) else {
@@ -1043,7 +1096,7 @@ impl TrieIndex {
                     rec.depth,
                     rec.min_len,
                     rec.max_len,
-                    &query,
+                    query,
                     tau,
                     budget,
                     suffix,
@@ -1061,24 +1114,352 @@ impl TrieIndex {
                 // Leaf emission runs the exact per-trajectory OPAMD filter
                 // (Lemma 5.1) over the member's own indexing points — the
                 // node MBRs above only bounded groups.
-                stats.members_checked += 1;
-                let e = self.store.entry(m as usize);
-                if edr && dita_distance::bounds::length_bound_edr(e.len(), q.len(), tau) {
-                    stats.members_pruned_length += 1;
-                    continue;
-                }
-                let admits = member_admits(&query, tau, &walk, e.index_points(), || {
-                    (e.len(), e.pivots().iter().map(|&p| p as usize), e.soa())
-                });
-                if admits {
+                if self.member_survives(m, query, tau, &walk, edr, stats) {
                     emit(m);
-                } else {
-                    stats.members_pruned_opamd += 1;
                 }
             }
             level = (rec.children(), budget, suffix);
         }
     }
+
+    /// The two leaf stages on stored member `m`, counted into `stats`: the
+    /// exact EDR length bound, then [`member_admits`].
+    #[inline]
+    fn member_survives(
+        &self,
+        m: u32,
+        query: SoaView<'_>,
+        tau: f64,
+        walk: &Walk,
+        edr: bool,
+        stats: &mut FilterStats,
+    ) -> bool {
+        stats.members_checked += 1;
+        let e = self.store.entry(m as usize);
+        if edr && dita_distance::bounds::length_bound_edr(e.len(), query.len(), tau) {
+            stats.members_pruned_length += 1;
+            return false;
+        }
+        let admits = member_admits(query, tau, walk, e.index_points(), || {
+            (e.len(), e.pivots().iter().map(|&p| p as usize), e.soa())
+        });
+        stats.members_pruned_opamd += !admits as usize;
+        admits
+    }
+
+    /// Probes this trie with a *set of stored rows* of `src` — the local
+    /// join's candidate generator (§6): calls `emit(sid, c)` for every row
+    /// `sid` of `rows` (ascending local ids of `src`) and every member `c`
+    /// that [`TrieIndex::probe_soa`] emits for that row's points, each pair
+    /// once, and returns the funnel. When `src` is this very trie (a
+    /// self-join's diagonal edge) only the pairs `c ≥ sid` are emitted: row
+    /// `c` is probed too and finds `(c, sid)` itself.
+    ///
+    /// **One walk per run.** `rows` is cut into the runs one node of `src`
+    /// owns: adjacent ids, adjacent memory in every arena, and — being one
+    /// STR tile of the source — near each other in space. A run is
+    /// summarised by three rectangles read from the store ([`RunRects`]) and
+    /// this trie is walked once for the whole run. In front of every node
+    /// stands one rectangle test, [`run_admits`]; behind it each row
+    /// still alive at the parent runs its own unchanged [`node_admits`]
+    /// with the `(budget, suffix)` its own cascade handed down, and at a
+    /// node that owns members each row alive there runs the unchanged leaf
+    /// stages per member.
+    ///
+    /// **Why the pairs are exactly the per-row probe's.** Behind the
+    /// rectangle test everything a row meets is its own single-query probe:
+    /// the same functions on the same operands in the same order. So it is
+    /// enough that the rectangle test rejects a node only if *every* row
+    /// alive at the parent would reject it itself, and that is Lemma 5.1
+    /// with `MinDist(MBR, MBR) ≤ MinDist(point, MBR)`, which also holds
+    /// term by term in `f64`:
+    ///
+    /// * *Distance.* A row's first point lies in the run's first-point
+    ///   rectangle `R`, so `node.min.x − p.x ≥ node.min.x − R.max.x` and
+    ///   `p.x − node.max.x ≥ R.min.x − node.max.x` — a correctly rounded
+    ///   subtraction is monotone in both operands — and likewise in `y`.
+    ///   Clamping at zero, squaring a non-negative value, adding and `sqrt`
+    ///   are monotone too, hence [`Mbr::min_dist_mbr`]`(R, node)` `≤`
+    ///   [`Mbr::min_dist_point`]`(node, p)` as computed. The same holds for
+    ///   the last points, and on pivot and edit levels for every point of
+    ///   every row against the union of the rows' whole-trajectory MBRs —
+    ///   so also for the minimum a row takes over any suffix of its points.
+    /// * *Budget.* The rectangle test compares against the largest budget
+    ///   any alive row holds (a NaN threshold makes every budget NaN, and
+    ///   a NaN compares false on both sides: nothing is pruned). `Additive`
+    ///   and `Max` reject on `d > budget`: `d_row ≥ d_run > budget_max ≥
+    ///   budget_row`. `Edit` rejects when the level is charged and no edit
+    ///   is left: `d_row ≥ d_run > ϵ`, LCSS charges a row of `n` points
+    ///   when `node.max_len ≤ n` and the test asks `node.max_len ≤ min n`,
+    ///   and `budget_row ≤ budget_max < 1`.
+    /// * *EDR length interval.* The test asks `node.min_len > max n + τ` or
+    ///   `node.max_len < min n − τ`; `n ↦ n + τ` and `n ↦ n − τ` are
+    ///   monotone as computed, so every row's own interval test fails too.
+    ///
+    /// **Why `c ≥ sid` may move in front of the test.** The per-row probe
+    /// tested every member of an admitted node and the join dropped
+    /// `c < sid` afterwards; whether `(sid, c)` survives does not depend on
+    /// any other pair, so skipping the test of a pair that would be dropped
+    /// changes no pair that is kept. A node's members are one ascending id
+    /// range, so the rule is a lower end for the member loop, and a node
+    /// whose range ends at or before the run's first row is skipped without
+    /// a test.
+    ///
+    /// **Why a row need not be tested against itself.** Both leaf stages
+    /// measure the row against its own points: the lengths are equal, and
+    /// every distance [`member_admits`] takes — first to first, last to
+    /// last, a pivot to the suffix that still holds the pivot's own
+    /// position, an indexing point to the band around its own position — is
+    /// a point's to itself, `+0.0`, so no budget shrinks and no edit is
+    /// charged (with non-finite coordinates the distances are NaN, which
+    /// rejects nothing either). Whether the row gets as far as its own node
+    /// is still decided by its own cascade.
+    ///
+    /// The funnel counts what this walk does: `nodes_visited` rectangle
+    /// tests (run × node), a node as pruned when the rectangles reject it
+    /// or no row survives its own test, `members_checked` (row, member)
+    /// pairs that reach the leaf stages. Its survivors are the pairs
+    /// emitted.
+    pub fn probe_rows<F: FnMut(u32, u32)>(
+        &self,
+        src: &TrieIndex,
+        rows: &[u32],
+        tau: f64,
+        func: &DistanceFunction,
+        scratch: &mut ProbeScratch,
+        mut emit: F,
+    ) -> FilterStats {
+        let mut stats = FilterStats::default();
+        if tau < 0.0 {
+            return stats;
+        }
+        let diagonal = std::ptr::eq(self, src);
+        let Some(walk) = Walk::of(func) else {
+            // Scan mode (ERP): every stored trajectory is a candidate of
+            // every row.
+            let len = self.store.len() as u32;
+            for &sid in rows {
+                let from = if diagonal { sid.min(len) } else { 0 };
+                stats.members_checked += (len - from) as usize;
+                for c in from..len {
+                    emit(sid, c);
+                }
+            }
+            return stats;
+        };
+        // A node's members are one ascending range and the ranges tile
+        // `0..len` in node order: one pass over the source's nodes cuts the
+        // ascending `rows` into runs.
+        let mut rest = rows;
+        for rec in src.nodes.recs(0..src.nodes.len() as u32) {
+            if rest.is_empty() {
+                break;
+            }
+            let end = rec.members().end;
+            let (run, tail) = rest.split_at(rest.partition_point(|&r| r < end));
+            rest = tail;
+            if !run.is_empty() {
+                self.probe_run(
+                    src, run, tau, &walk, diagonal, scratch, &mut stats, &mut emit,
+                );
+            }
+        }
+        stats
+    }
+
+    /// One walk of this trie for one run of `src`'s rows (see
+    /// [`TrieIndex::probe_rows`]).
+    #[allow(clippy::too_many_arguments)]
+    fn probe_run<F: FnMut(u32, u32)>(
+        &self,
+        src: &TrieIndex,
+        run: &[u32],
+        tau: f64,
+        walk: &Walk,
+        diagonal: bool,
+        scratch: &mut ProbeScratch,
+        stats: &mut FilterStats,
+        emit: &mut F,
+    ) {
+        let rects = run_rects(&src.store, run);
+        let edr = walk.is_edr();
+        // The first member row `sid` is paired with: on a diagonal edge the
+        // members before it are left to those rows' own probes.
+        let lowest = |sid: u32| if diagonal { sid } else { 0 };
+        let ProbeScratch {
+            run_nodes,
+            alive,
+            frames,
+            ..
+        } = scratch;
+        run_nodes.clear();
+        alive.clear();
+        frames.clear();
+        // Above the roots the whole run is alive, as a single-query probe
+        // starts: the full budget, no suffix discarded.
+        frames.push(0);
+        alive.extend(run.iter().map(|&sid| RowState {
+            sid,
+            budget: tau,
+            suffix: 0,
+        }));
+        frames.push(alive.len());
+        // The siblings to put to the rectangle test next: the roots first,
+        // then the children of every node expanded.
+        let mut level = 0..self.roots;
+        loop {
+            if !level.is_empty() {
+                // The parent's frame is the last one; it is never empty.
+                let parent = &alive[frames[frames.len() - 2]..];
+                let budget = parent.iter().fold(parent[0].budget, |best, r| {
+                    if r.budget > best {
+                        r.budget
+                    } else {
+                        best
+                    }
+                });
+                for (id, rec) in level.clone().zip(self.nodes.recs(level)) {
+                    // A leaf none of whose members any row of the run is
+                    // paired with is not even tested.
+                    let no_pair = rec.children().is_empty() && rec.members().end <= lowest(run[0]);
+                    if !no_pair && run_admits(&rects, rec, tau, budget, walk, stats) {
+                        run_nodes.push(id);
+                    }
+                }
+            }
+            let Some(id) = run_nodes.pop() else {
+                return;
+            };
+            let rec = self.nodes.rec(id);
+            // Depth first: the frames above `rec.depth` belong to the path
+            // to the node expanded before, which shares `rec`'s ancestors.
+            let depth = rec.depth as usize;
+            frames.truncate(depth + 1);
+            alive.truncate(frames[depth]);
+            let parent = frames[depth - 1]..frames[depth];
+            let mut row_tests = FilterStats::default();
+            for i in parent {
+                let row = alive[i];
+                let q = src.store.entry(row.sid as usize).soa();
+                if let Some((budget, suffix)) = node_admits(
+                    &rec.mbr,
+                    rec.depth,
+                    rec.min_len,
+                    rec.max_len,
+                    q,
+                    tau,
+                    row.budget,
+                    row.suffix,
+                    walk,
+                    &mut row_tests,
+                ) {
+                    alive.push(RowState {
+                        sid: row.sid,
+                        budget,
+                        suffix,
+                    });
+                }
+            }
+            let here = frames[depth]..alive.len();
+            frames.push(alive.len());
+            level = 0..0;
+            if here.is_empty() {
+                // Every row rejected the node itself.
+                if row_tests.nodes_pruned_budget > 0 {
+                    stats.nodes_pruned_budget += 1;
+                } else {
+                    stats.nodes_pruned_length += 1;
+                }
+                continue;
+            }
+            let members = rec.members();
+            for i in here {
+                let sid = alive[i].sid;
+                let q = src.store.entry(sid as usize).soa();
+                for m in members.start.max(lowest(sid))..members.end {
+                    // A row alive at the node that owns it survives the
+                    // leaf stages against itself without running them.
+                    let itself = diagonal && m == sid;
+                    stats.members_checked += itself as usize;
+                    if itself || self.member_survives(m, q, tau, walk, edr, stats) {
+                        emit(sid, m);
+                    }
+                }
+            }
+            level = rec.children();
+        }
+    }
+}
+
+/// What [`TrieIndex::probe_rows`] knows of a run of rows before it walks
+/// the destination: three rectangles and the rows' length range, each read
+/// from the source's store.
+#[derive(Debug, Clone, Copy)]
+struct RunRects {
+    /// MBR of the rows' first points: what an endpoint level 1 is held to.
+    first: Mbr,
+    /// MBR of the rows' last points (level 2).
+    last: Mbr,
+    /// Union of the rows' whole-trajectory MBRs: every point of every row,
+    /// which is what a pivot level's suffix scan and an edit level range
+    /// over.
+    all: Mbr,
+    min_len: u32,
+    max_len: u32,
+}
+
+/// The summary of the rows `run` of `store`.
+fn run_rects(store: &TrajStore, run: &[u32]) -> RunRects {
+    let mut rects = RunRects {
+        first: Mbr::EMPTY,
+        last: Mbr::EMPTY,
+        all: Mbr::EMPTY,
+        min_len: u32::MAX,
+        max_len: 0,
+    };
+    for &sid in run {
+        let e = store.entry(sid as usize);
+        rects.first.extend(&e.first());
+        rects.last.extend(&e.last());
+        rects.all = rects.all.union(e.mbr());
+        rects.min_len = rects.min_len.min(e.len() as u32);
+        rects.max_len = rects.max_len.max(e.len() as u32);
+    }
+    rects
+}
+
+/// The run-level form of [`node_admits`]: `false` only when every row of the
+/// run whose own budget is at most `budget` would reject the node itself
+/// (the proof is on [`TrieIndex::probe_rows`]). Counts the test, and the
+/// prune under the stage that caused it, into `stats`.
+fn run_admits(
+    run: &RunRects,
+    rec: &NodeRec,
+    tau: f64,
+    budget: f64,
+    walk: &Walk,
+    stats: &mut FilterStats,
+) -> bool {
+    stats.nodes_visited += 1;
+    let (min_len, max_len) = (run.min_len as f64, run.max_len as f64);
+    if walk.is_edr() && edr_lengths_apart(rec.min_len, rec.max_len, min_len, max_len, tau) {
+        stats.nodes_pruned_length += 1;
+        return false;
+    }
+    let rect = match (rec.depth, walk) {
+        (1, Walk::Additive | Walk::Max) => &run.first,
+        (2, Walk::Additive | Walk::Max) => &run.last,
+        _ => &run.all,
+    };
+    let d = rect.min_dist_mbr(&rec.mbr);
+    let rejects = match *walk {
+        Walk::Additive | Walk::Max => d > budget,
+        Walk::Edit { eps, delta, .. } => {
+            d > eps && (delta.is_none() || rec.max_len <= run.min_len) && budget < 1.0
+        }
+    };
+    stats.nodes_pruned_budget += rejects as usize;
+    !rejects
 }
 
 /// The layout-independent first half of a trie build: per-trajectory
@@ -1571,7 +1952,7 @@ mod tests {
                 let (min_sq, _) = scalar_scan_mbr(&q, suffix, &mbr, 0.0);
                 for budget_sq in budgets_around(min_sq) {
                     assert_same_scan(
-                        suffix_scan(&query, suffix, budget_sq, |x, y| {
+                        suffix_scan(query, suffix, budget_sq, |x, y| {
                             mbr.min_dist_point_sq(&Point::new(x, y))
                         }),
                         scalar_scan_mbr(&q, suffix, &mbr, budget_sq),
@@ -1581,7 +1962,7 @@ mod tests {
                 for p in &pivots {
                     let (min_sq, _) = scalar_scan_point(&q, suffix, p, 0.0, false);
                     for budget_sq in budgets_around(min_sq) {
-                        let got = suffix_scan(&query, suffix, budget_sq, |x, y| {
+                        let got = suffix_scan(query, suffix, budget_sq, |x, y| {
                             p.dist_sq(&Point::new(x, y))
                         });
                         let what = format!("point n={n} suffix={suffix} budget_sq={budget_sq}");
@@ -1595,7 +1976,7 @@ mod tests {
             // The coinciding pivot does reach zero on the suffixes that
             // still hold its point.
             let at = on_point % n;
-            let on_it = suffix_scan(&query, 0, 0.0, |x, y| q[at].dist_sq(&Point::new(x, y)));
+            let on_it = suffix_scan(query, 0, 0.0, |x, y| q[at].dist_sq(&Point::new(x, y)));
             prop_assert_eq!(on_it.0, 0.0);
             prop_assert!(on_it.1 <= at);
         }

@@ -42,19 +42,27 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
-/// Trie methods on the search/join filter hot path (worker-executed).
+/// Trie methods on the search/join filter hot path (worker-executed): the
+/// single-query probes, the local join's run probe (`probe_rows` and what
+/// it calls per run, per node and per member) and the shared predicates.
 const TRIE_HOT_FNS: &[&str] = &[
     "candidates",
     "candidates_with_stats",
     "candidates_with_scratch",
     "candidate_count",
     "candidates_batch",
-    "node_admits",
     "probe",
-    "opamd_admits",
-    "edit_family_admits",
+    "probe_soa",
+    "walk_query",
+    "probe_rows",
+    "probe_run",
+    "run_rects",
+    "run_admits",
+    "node_admits",
+    "edr_lengths_apart",
+    "member_survives",
     "member_admits",
-    "visit",
+    "edit_family_admits",
     "suffix_scan",
     "get",
     "try_get",

@@ -45,6 +45,21 @@ pub fn build(x: Option<u32>) -> u32 { x.unwrap() }
 }
 
 #[test]
+fn l1_covers_the_run_probe_and_the_soa_probe() {
+    let src = include_str!("../fixtures/l1_trie_run_probe.rs");
+    let r = lint_source("crates/index/src/trie.rs", src);
+    // expect in probe_rows, unwrap + unreachable! in probe_run, unwrap in
+    // probe_soa; build is not on the probe path and stays out of scope.
+    assert_eq!(
+        rule_lines(&r.findings, RULE_WORKER_PANIC),
+        vec![7, 12, 14, 19]
+    );
+    let clean = include_str!("../fixtures/l1_trie_run_probe_clean.rs");
+    let r = lint_source("crates/index/src/trie.rs", clean);
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+}
+
+#[test]
 fn l1_covers_the_bounds_verification_calls() {
     let src = include_str!("../fixtures/l1_bounds_worker.rs");
     let r = lint_source("crates/distance/src/bounds.rs", src);
