@@ -8,7 +8,7 @@ use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::{join, search, verify_pair_soa, DitaSystem, JoinOptions, QueryContext};
 use dita_datagen::{beijing_like, sample_queries};
 use dita_distance::{bounds, DistanceFunction, Scratch};
-use dita_index::{IndexedTrajectory, PivotStrategy};
+use dita_index::IndexedTrajectory;
 use std::hint::black_box;
 
 fn system(n: usize) -> (dita_trajectory::Dataset, DitaSystem) {
@@ -63,7 +63,7 @@ fn bench_verification_ablation(c: &mut Criterion) {
     let cands: Vec<IndexedTrajectory> = d
         .trajectories()
         .iter()
-        .map(|t| IndexedTrajectory::new(t.clone(), 4, PivotStrategy::NeighborDistance, 0.002))
+        .map(|t| IndexedTrajectory::new(t.clone()))
         .collect();
     let ctxs: Vec<QueryContext> = queries
         .iter()

@@ -150,10 +150,7 @@ fn main() {
     );
     // Manual compaction: the soak decides when to flush/compact so the op
     // stream exercises long-lived tails, segments and tombstones.
-    sys.set_compaction_policy(CompactionPolicy {
-        auto: false,
-        ..CompactionPolicy::default()
-    });
+    sys.set_compaction_policy(CompactionPolicy { auto: false });
     let mut next_id = 10_000u64;
     let mut total_mismatches = 0usize;
 

@@ -107,11 +107,6 @@ impl CancelToken {
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
-
-    /// Whether [`CancelToken::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 struct Pending<Q> {
@@ -513,7 +508,6 @@ mod tests {
         }
         tokens[1].cancel();
         tokens[4].cancel();
-        assert!(tokens[1].is_cancelled());
         let b = s.next_batch().unwrap();
         assert_eq!(b.payloads, vec![0, 2, 3, 5]);
         assert_eq!(s.counters().cancelled, 2);

@@ -15,7 +15,7 @@
 //! * [`DitaSystem::compact`] folds base + deltas into rebuilt base tries,
 //!   partition by partition, escalating to a full STR repartition only
 //!   when the partition-size skew shows the endpoint distribution drifted
-//!   past [`CompactionPolicy::skew_threshold`].
+//!   past [`dita_ingest::SKEW_THRESHOLD`].
 //!
 //! Queries never see a difference in *answers*: `search`, `knn_search` and
 //! `join` overlay base + deltas with tombstone suppression, and the overlay
@@ -32,10 +32,10 @@
 
 use crate::system::DitaSystem;
 use dita_cluster::TaskSpec;
-use dita_index::{GlobalIndex, TrieIndex};
-use dita_ingest::{CompactionPolicy, DeltaSegment, IngestStats};
+use dita_index::{EndpointSummary, GlobalIndex, Partition, TrieIndex};
+use dita_ingest::{CompactionPolicy, DeltaSegment, IngestStats, SKEW_THRESHOLD};
 use dita_obs::names;
-use dita_trajectory::{Dataset, Mbr, Point, Trajectory, TrajectoryId};
+use dita_trajectory::{Dataset, Point, Trajectory, TrajectoryId};
 use std::time::Instant;
 
 impl DitaSystem {
@@ -110,13 +110,12 @@ impl DitaSystem {
                 self.deltas.install_segment(pid, seg);
             }
         }
-        self.deltas.rebuild_seg_global();
         self.deltas.stats_mut().flushes += 1;
     }
 
     /// Folds all delta state into rebuilt base tries (the LSM merge), then
     /// re-runs STR repartitioning if the fold left the partition sizes
-    /// skewed past [`CompactionPolicy::skew_threshold`]. Only dirty
+    /// skewed past [`SKEW_THRESHOLD`]. Only dirty
     /// partitions are rebuilt. Returns `true` when anything was folded.
     ///
     /// Cost model: each dirty partition's rebuild runs as a cluster task on
@@ -167,27 +166,21 @@ impl DitaSystem {
         // Install the rebuilt tries and refresh the partition metadata the
         // global index and insert routing read.
         for (pid, trie) in built {
-            let p = &mut self.partitioning.partitions[pid];
-            if trie.is_empty() {
-                // A fully drained partition keeps a degenerate placeholder
-                // MBR; its empty trie can never produce candidates, so any
-                // coverage the global index keeps for it is sound.
-                p.mbr_first = Mbr::from_point(Point::new(0.0, 0.0));
-                p.mbr_last = p.mbr_first;
-                p.min_len = 0;
-                p.max_len = 0;
+            let summary = if trie.is_empty() {
+                // A fully drained partition keeps a degenerate placeholder,
+                // one zero-length row at the origin; its empty trie can
+                // never produce candidates, so any coverage the global
+                // index keeps for it is sound.
+                let origin = Point::new(0.0, 0.0);
+                EndpointSummary::of([(origin, origin, 0)])
             } else {
-                let firsts: Vec<Point> = trie.entries().map(|e| e.first()).collect();
-                let lasts: Vec<Point> = trie.entries().map(|e| e.last()).collect();
-                p.mbr_first = Mbr::from_points(firsts.iter());
-                p.mbr_last = Mbr::from_points(lasts.iter());
-                p.min_len = trie.entries().map(|e| e.len()).min().unwrap();
-                p.max_len = trie.entries().map(|e| e.len()).max().unwrap();
-            }
+                EndpointSummary::of(trie.entries().map(|e| (e.first(), e.last(), e.len())))
+            };
             // Membership indices are positional within the rebuilt trie;
             // keeping them length-accurate keeps `Partitioning::skew` and
             // the trie/partitioning alignment invariant truthful.
-            p.members = (0..trie.len()).collect();
+            let members = (0..trie.len()).collect();
+            self.partitioning.partitions[pid] = Partition::new(pid, members, summary);
             self.tries[pid] = trie;
         }
         self.global = GlobalIndex::build(&self.partitioning);
@@ -205,7 +198,7 @@ impl DitaSystem {
         // Escalate to a full repartition only when the endpoint
         // distribution drifted enough to skew the original tiling.
         let skew = self.partitioning.skew();
-        if skew > self.ingest_policy.skew_threshold && !self.is_empty() {
+        if skew > SKEW_THRESHOLD && !self.is_empty() {
             self.repartition();
             self.deltas.stats_mut().repartitions += 1;
         }
@@ -231,9 +224,6 @@ impl DitaSystem {
 
     /// Runs [`DitaSystem::compact`] when the policy's auto-trigger trips.
     fn maybe_compact(&mut self) {
-        if !self.ingest_policy.auto {
-            return;
-        }
         let d = &self.deltas;
         if self.ingest_policy.should_compact(
             d.delta_live(),
@@ -243,11 +233,6 @@ impl DitaSystem {
         ) {
             self.compact();
         }
-    }
-
-    /// The active compaction policy.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.ingest_policy
     }
 
     /// Replaces the compaction policy (e.g. `auto: false` to drive
@@ -331,7 +316,7 @@ mod tests {
     use dita_cluster::{Cluster, ClusterConfig};
     use dita_distance::DistanceFunction;
     use dita_index::{PivotStrategy, TrieConfig};
-    use dita_ingest::CompactionPolicy;
+    use dita_ingest::{CompactionPolicy, MAX_DELTA_RATIO};
     use dita_trajectory::trajectory::figure1_trajectories;
     use dita_trajectory::{Dataset, Trajectory};
 
@@ -350,10 +335,7 @@ mod tests {
     }
 
     fn manual_policy() -> CompactionPolicy {
-        CompactionPolicy {
-            auto: false,
-            ..CompactionPolicy::default()
-        }
+        CompactionPolicy { auto: false }
     }
 
     fn fig1_system(workers: usize) -> DitaSystem {
@@ -473,36 +455,47 @@ mod tests {
     #[test]
     fn auto_policy_compacts_by_itself() {
         let mut sys = fig1_system(2);
-        sys.set_compaction_policy(CompactionPolicy {
-            max_delta_ops: 3,
-            auto: true,
-            ..CompactionPolicy::default()
-        });
-        for i in 0..7u64 {
-            sys.insert(Trajectory::from_coords(
-                100 + i,
-                &[(i as f64, 0.0), (i as f64 + 1.0, 1.0)],
-            ));
+        sys.set_compaction_policy(CompactionPolicy::default());
+        let row =
+            |i: u64| Trajectory::from_coords(100 + i, &[(i as f64, 0.0), (i as f64 + 1.0, 1.0)]);
+        // One pending row is past 10 % of a six-row table.
+        sys.insert(row(0));
+        assert_eq!(sys.ingest_stats().compactions, 1);
+        assert!(!sys.has_deltas());
+        for i in 1..7u64 {
+            sys.insert(row(i));
         }
         let stats = sys.ingest_stats();
         assert!(stats.compactions >= 2, "{stats:?}");
         assert_eq!(sys.len(), 12);
-        // Whatever remains pending is below the ops trigger.
-        assert!(sys.deltas().ops_since_compact() < 3);
+        // Whatever remains pending is within the ratio trigger.
+        assert!(sys.delta_ratio() <= MAX_DELTA_RATIO);
     }
 
     #[test]
     fn skewed_growth_escalates_to_repartition() {
-        let mut sys = fig1_system(2);
-        sys.set_compaction_policy(CompactionPolicy {
-            skew_threshold: 1.5,
-            auto: false,
-            ..CompactionPolicy::default()
-        });
-        // Pile 40 new trajectories into one corner: after folding, one
+        // max/avg cannot exceed the partition count, so the 4.0 skew gate
+        // needs more than four partitions: a 6 × 6 grid of rows on NG = 3
+        // makes nine.
+        let grid: Vec<Trajectory> = (0..36u64)
+            .map(|i| {
+                let (x, y) = ((i % 6) as f64 * 10.0, (i / 6) as f64 * 10.0);
+                Trajectory::from_coords(i, &[(x, y), (x + 1.0, y + 1.0)])
+            })
+            .collect();
+        let dataset = Dataset::new("grid", grid.clone()).unwrap();
+        let config = DitaConfig { ng: 3, ..config() };
+        let mut sys = DitaSystem::build(
+            &dataset,
+            config,
+            Cluster::new(ClusterConfig::with_workers(2)),
+        );
+        sys.set_compaction_policy(manual_policy());
+        assert!(sys.partitioning().partitions.len() > 4);
+        // Pile 100 new trajectories into one corner: after folding, one
         // partition dwarfs the rest and the skew gate trips.
-        for i in 0..40u64 {
-            let x = 0.1 * i as f64;
+        for i in 0..100u64 {
+            let x = 0.01 * i as f64;
             sys.insert(Trajectory::from_coords(
                 200 + i,
                 &[(x, 0.0), (x + 0.5, 0.5)],
@@ -510,12 +503,11 @@ mod tests {
         }
         sys.compact();
         assert_eq!(sys.ingest_stats().repartitions, 1);
-        assert_eq!(sys.len(), 45);
+        assert_eq!(sys.len(), 136);
         assert!(!sys.has_deltas());
         // The repartitioned system still answers exactly.
-        let ts = figure1_trajectories();
-        let (hits, _) = crate::search(&sys, ts[0].points(), 0.0, &DistanceFunction::Dtw);
-        assert_eq!(ids(&hits), vec![1]);
+        let (hits, _) = crate::search(&sys, grid[7].points(), 0.0, &DistanceFunction::Dtw);
+        assert_eq!(ids(&hits), vec![7]);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl DitaSystem {
                 .set(local_size_bytes as f64);
         }
 
-        let deltas = DeltaSet::new(tries.len(), Self::base_home(&tries), config.trie);
+        let deltas = DeltaSet::new(tries.len(), Self::base_home(&tries));
         let build_time = start.elapsed();
         DitaSystem {
             name: dataset.name.clone(),

@@ -325,12 +325,7 @@ mod tests {
     }
 
     fn indexed(t: &Trajectory) -> IndexedTrajectory {
-        IndexedTrajectory::new(
-            t.clone(),
-            2,
-            dita_index::PivotStrategy::NeighborDistance,
-            2.0,
-        )
+        IndexedTrajectory::new(t.clone())
     }
 
     #[test]

@@ -205,10 +205,7 @@ fn search_batch_matches_sequential_on_clean_table() {
 fn search_batch_matches_sequential_with_delta_overlay() {
     for seed in [3u64, 11] {
         let mut sys = build(seed, 60);
-        sys.set_compaction_policy(CompactionPolicy {
-            auto: false,
-            ..CompactionPolicy::default()
-        });
+        sys.set_compaction_policy(CompactionPolicy { auto: false });
         let mut rng = XorShift(seed.wrapping_mul(0xBEEF) | 1);
         // Mutate into a dirty state: inserts (some overwriting live ids),
         // deletes, and a flush so both segment tries and unflushed tails
@@ -279,10 +276,7 @@ fn knn_batch_matches_sequential_knn() {
 #[test]
 fn knn_batch_matches_sequential_with_delta_overlay() {
     let mut sys = build(17, 50);
-    sys.set_compaction_policy(CompactionPolicy {
-        auto: false,
-        ..CompactionPolicy::default()
-    });
+    sys.set_compaction_policy(CompactionPolicy { auto: false });
     let mut rng = XorShift(0x5EED | 1);
     for _ in 0..12 {
         if rng.next_u64().is_multiple_of(3) {

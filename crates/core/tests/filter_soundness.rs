@@ -36,6 +36,7 @@
 //! | endpoints, MBR vs MBR (`build_edges`' screen) | the same, §6.2 | all five |
 //! | `relevant_partitions` on an STR partitioning: R-tree pre-screen (`for_each_within_point`), then the endpoint rule | §5.2, Appendix A | DTW, Fréchet |
 //! | `relevant_partitions` on an STR partitioning: the partition table enumerated | Appendix A | EDR, LCSS, ERP |
+//! | the delta overlay's segment screen (`DeltaSet::seg_relevant`): the endpoint rule over each flushed segment's summary, on a dirty table | §5.2, Appendix A | all five |
 //! | the search's partition screen (`TrieIndex::extent_admits`): query points → the union of the partition's member MBRs | Lemma 5.4, point by point, roles swapped | DTW, Fréchet |
 //! | run rectangles vs node MBR, first / last / pivot levels (`probe_rows`) | Lemma 5.1 with `MinDist(MBR, MBR) ≤ MinDist(point, MBR)` | DTW, Fréchet |
 //! | run rectangles vs node MBR, edit levels (`probe_rows`) | Appendix A's edit count, the same inequality | EDR, LCSS |
@@ -48,8 +49,12 @@
 //! a pair up to the grid's eight symmetries, which fix ERP's gap point at
 //! the centre); everything longer is seeded.
 
+use dita_cluster::{Cluster, ClusterConfig};
 use dita_core::verify::CandidateView;
-use dita_core::{try_verify_candidates, verify_pair_soa, QueryContext};
+use dita_core::{
+    try_verify_candidates, verify_pair_soa, CompactionPolicy, DitaConfig, DitaSystem, QueryContext,
+};
+use dita_datagen::beijing_like;
 use dita_distance::kernel::Scratch;
 use dita_distance::{bounds, DistanceFunction};
 use dita_index::{
@@ -1007,4 +1012,99 @@ fn no_extent_on_a_members_path_rejects_a_pair_the_kernel_accepts() {
         accepted > 100_000 && rejected > 100_000,
         "{accepted} accepted, {rejected} rejected"
     );
+}
+
+/// The delta overlay's segment screen (`DeltaSet::seg_relevant`: the
+/// endpoint rule over each flushed segment's summary) on a dirty
+/// `beijing_like` table — flushed segments with dead members, and a tail.
+/// At every τ ∈ {0, d⁻, d, d⁺} (d the kernel's distance from a query to a
+/// live segment member) at which the kernel accepts the member, the
+/// member's segment is relevant to the query, for all five functions.
+/// The queries are the live members themselves (d = 0, where the rule's
+/// budget is exactly spent) and rows of another seed.
+#[test]
+fn the_segment_screen_keeps_every_segment_the_kernel_answers_from() {
+    let config = DitaConfig {
+        ng: 4,
+        ..DitaConfig::default()
+    };
+    let cluster = Cluster::new(ClusterConfig::with_workers(2));
+    let mut sys = DitaSystem::build(&beijing_like(300, 11), config, cluster);
+    sys.set_compaction_policy(CompactionPolicy { auto: false });
+    let fresh = beijing_like(100, 12).trajectories().to_vec();
+    let fresh_row = |i: usize| Trajectory::new(10_000 + i as u64, fresh[i].points().to_vec());
+    for i in 0..80 {
+        sys.insert(fresh_row(i));
+    }
+    sys.flush();
+    for i in (0..80).step_by(7) {
+        assert!(sys.delete(10_000 + i as u64));
+    }
+    for i in 80..100 {
+        sys.insert(fresh_row(i));
+    }
+
+    let deltas = sys.deltas();
+    // Each live segment member: its partition, points and SoA copy.
+    let members: Vec<(usize, Vec<Point>, SoaPoints)> = deltas
+        .parts()
+        .iter()
+        .enumerate()
+        .filter_map(|(pid, part)| Some((pid, part.seg.as_ref()?)))
+        .flat_map(|(pid, seg)| seg.live().map(move |t| (pid, t)))
+        .map(|(pid, t)| (pid, t.points().to_vec(), SoaPoints::from_points(t.points())))
+        .collect();
+    let segments: std::collections::BTreeSet<usize> = members.iter().map(|m| m.0).collect();
+    assert!(segments.len() >= 3, "segments: {segments:?}");
+    assert!(deltas
+        .parts()
+        .iter()
+        .any(|p| p.seg.as_ref().is_some_and(|s| !s.dead.is_empty())));
+    assert!(deltas.parts().iter().any(|p| !p.tail.is_empty()));
+
+    let others = beijing_like(15, 13);
+    let queries: Vec<&[Point]> = members
+        .iter()
+        .map(|m| &m.1[..])
+        .chain(others.trajectories().iter().map(|t| t.points()))
+        .collect();
+    let funcs = [
+        DistanceFunction::Dtw,
+        DistanceFunction::Frechet,
+        DistanceFunction::Edr { eps: 0.002 },
+        DistanceFunction::Lcss {
+            eps: 0.002,
+            delta: 2,
+        },
+        DistanceFunction::Erp { gap: (39.9, 116.4) },
+    ];
+    let mut scratch = Scratch::new();
+    let mut accepted = 0;
+    for &pts in &queries {
+        let q = SoaPoints::from_points(pts);
+        let (first, last) = (&pts[0], &pts[pts.len() - 1]);
+        for func in &funcs {
+            for (pid, _, m) in &members {
+                let (c, qv) = (m.view(), q.view());
+                let own = func
+                    .verify_soa(c, qv, f64::INFINITY, &mut scratch)
+                    .expect("no pair is farther than infinity");
+                for tau in [0.0, own.next_down(), own, own.next_up()] {
+                    let tau = tau.max(0.0);
+                    if func.verify_soa(c, qv, tau, &mut scratch).is_none() {
+                        continue;
+                    }
+                    accepted += 1;
+                    let relevant =
+                        deltas.seg_relevant(first, last, pts.len(), tau, func.index_mode());
+                    assert!(
+                        relevant.contains(pid),
+                        "{func}: segment {pid} is not relevant at tau {tau} (distance {own}) \
+                         to query {pts:?}; relevant {relevant:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(accepted > 20_000, "accepted cases: {accepted}");
 }

@@ -92,10 +92,7 @@ fn random_interleavings_match_rebuild() {
             .map(|id| (id, random_trajectory(&mut rng, id)))
             .collect();
         let mut sys = build("live", model.values().cloned().collect());
-        sys.set_compaction_policy(CompactionPolicy {
-            auto: false,
-            ..CompactionPolicy::default()
-        });
+        sys.set_compaction_policy(CompactionPolicy { auto: false });
         let mut next_id = 1_000u64;
 
         for segment in 0..8 {
@@ -150,10 +147,7 @@ fn join_over_deltas_matches_rebuild() {
             .map(|id| (id, random_trajectory(&mut rng, id)))
             .collect();
         let mut t_sys = build("t-live", t_model.values().cloned().collect());
-        t_sys.set_compaction_policy(CompactionPolicy {
-            auto: false,
-            ..CompactionPolicy::default()
-        });
+        t_sys.set_compaction_policy(CompactionPolicy { auto: false });
         let q_sys = build("q-static", q_model.values().cloned().collect());
 
         // Mutate the left side only: inserts near the right side's extent

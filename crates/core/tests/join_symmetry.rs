@@ -64,10 +64,7 @@ fn build(rows: &[Trajectory]) -> DitaSystem {
         },
         Cluster::new(ClusterConfig::with_workers(3)),
     );
-    sys.set_compaction_policy(CompactionPolicy {
-        auto: false,
-        ..CompactionPolicy::default()
-    });
+    sys.set_compaction_policy(CompactionPolicy { auto: false });
     sys
 }
 
@@ -194,14 +191,8 @@ proptest! {
         eps in 0.0f64..2.0,
         delta in 0usize..4,
         gap in (-10.0f64..10.0, -10.0f64..10.0),
-        k in 0usize..4,
     ) {
-        let row = IndexedTrajectory::new(
-            Trajectory::new(1, points.clone()),
-            k,
-            PivotStrategy::NeighborDistance,
-            1.0,
-        );
+        let row = IndexedTrajectory::new(Trajectory::new(1, points.clone()));
         let ctx = QueryContext::new(&points, 1.0);
         let mut scratch = Scratch::new();
         for func in [

@@ -56,10 +56,7 @@ fn dirty_system() -> DitaSystem {
         config(),
         cluster(2),
     );
-    sys.set_compaction_policy(CompactionPolicy {
-        auto: false,
-        ..CompactionPolicy::default()
-    });
+    sys.set_compaction_policy(CompactionPolicy { auto: false });
     for t in &fresh[..60] {
         sys.insert(t.clone());
     }

@@ -390,8 +390,7 @@ impl<'a> EntryRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pivot::PivotStrategy;
-    use crate::trie::IndexedTrajectory;
+    use crate::pivot::{select_pivots, PivotStrategy};
     use dita_trajectory::trajectory::figure1_trajectories;
 
     /// The Figure 1 trajectories pooled so that member `i` is input row
@@ -424,15 +423,19 @@ mod tests {
         }
     }
 
+    /// Each entry's pivots are `select_pivots`' and its indexing points
+    /// are first, last, then the pivot points.
     #[test]
-    fn entry_artifacts_match_indexed_trajectory() {
+    fn entry_artifacts_match_selected_pivots() {
         let ts = figure1_trajectories();
         let s = store();
         for (i, t) in ts.iter().enumerate() {
-            let it = IndexedTrajectory::new(t.clone(), 2, PivotStrategy::NeighborDistance, 2.0);
+            let pivots = select_pivots(t, 2, PivotStrategy::NeighborDistance);
+            let mut ips = vec![*t.first(), *t.last()];
+            ips.extend(pivots.iter().map(|&p| t.points()[p]));
             let e = s.entry(i);
-            assert_eq!(e.index_points(), &it.index_points[..]);
-            let pivs: Vec<u32> = it.pivots.iter().map(|&p| p as u32).collect();
+            assert_eq!(e.index_points(), &ips[..]);
+            let pivs: Vec<u32> = pivots.iter().map(|&p| p as u32).collect();
             assert_eq!(e.pivots(), &pivs[..]);
         }
     }

@@ -29,7 +29,8 @@ pub use fanout::FanOut;
 pub use flat::{EntryRef, FlatNodes, NodeRec, TrajStore};
 pub use global::GlobalIndex;
 pub use partitioner::{
-    random_partitioning, str_partitioning, str_partitioning_par, Partition, Partitioning,
+    random_partitioning, str_partitioning, str_partitioning_par, EndpointSummary, Partition,
+    Partitioning,
 };
 pub use pivot::{select_pivots, PivotStrategy};
 pub use trie::{

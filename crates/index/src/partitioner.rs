@@ -32,6 +32,59 @@ pub struct Partition {
     pub max_len: usize,
 }
 
+impl Partition {
+    /// Partition `id` over `members`, summarised by `summary`.
+    pub fn new(id: usize, members: Vec<usize>, summary: EndpointSummary) -> Self {
+        Partition {
+            id,
+            members,
+            mbr_first: summary.mbr_first,
+            mbr_last: summary.mbr_last,
+            min_len: summary.min_len,
+            max_len: summary.max_len,
+        }
+    }
+}
+
+/// What the global index keeps of a set of rows (§4.2.2): the MBRs of
+/// their first and last points and their shortest and longest lengths.
+/// Partitions, the partitions a compaction rebuilds and the ingest layer's
+/// delta segments are all summarised by [`EndpointSummary::of`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EndpointSummary {
+    /// MBR of the rows' first points (`MBR_f`).
+    pub mbr_first: Mbr,
+    /// MBR of the rows' last points (`MBR_l`).
+    pub mbr_last: Mbr,
+    /// Shortest row length.
+    pub min_len: usize,
+    /// Longest row length.
+    pub max_len: usize,
+}
+
+impl EndpointSummary {
+    /// The summary of rows given as `(first point, last point, length)`.
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty.
+    pub fn of(rows: impl IntoIterator<Item = (Point, Point, usize)>) -> Self {
+        let mut s = EndpointSummary {
+            mbr_first: Mbr::EMPTY,
+            mbr_last: Mbr::EMPTY,
+            min_len: usize::MAX,
+            max_len: 0,
+        };
+        for (first, last, len) in rows {
+            s.mbr_first.extend(&first);
+            s.mbr_last.extend(&last);
+            s.min_len = s.min_len.min(len);
+            s.max_len = s.max_len.max(len);
+        }
+        assert!(s.min_len <= s.max_len, "a summary needs at least one row");
+        s
+    }
+}
+
 /// The result of partitioning a dataset.
 #[derive(Debug, Clone)]
 pub struct Partitioning {
@@ -231,33 +284,18 @@ fn split_bucket(
     bucket: Vec<usize>,
     ng: usize,
 ) -> Vec<Partition> {
-    let mut out = Vec::new();
-    for sub in str_tiles_pub(lasts, bucket, ng) {
-        if sub.is_empty() {
-            continue;
-        }
-        let mbr_first = Mbr::from_points(sub.iter().map(|&i| &firsts[i]));
-        let mbr_last = Mbr::from_points(sub.iter().map(|&i| &lasts[i]));
-        let min_len = sub
-            .iter()
-            .map(|&i| trajectories[i].len())
-            .min()
-            .unwrap_or(0);
-        let max_len = sub
-            .iter()
-            .map(|&i| trajectories[i].len())
-            .max()
-            .unwrap_or(0);
-        out.push(Partition {
-            id: 0, // dense ids assigned by the caller, in bucket order
-            members: sub,
-            mbr_first,
-            mbr_last,
-            min_len,
-            max_len,
-        });
-    }
-    out
+    str_tiles_pub(lasts, bucket, ng)
+        .into_iter()
+        .filter(|sub| !sub.is_empty())
+        .map(|sub| {
+            let rows = sub
+                .iter()
+                .map(|&i| (firsts[i], lasts[i], trajectories[i].len()));
+            let summary = EndpointSummary::of(rows);
+            // Dense ids are assigned by the caller, in bucket order.
+            Partition::new(0, sub, summary)
+        })
+        .collect()
 }
 
 /// [`str_partitioning`] on `threads` threads: key extraction, the slab
@@ -311,24 +349,18 @@ pub fn random_partitioning(trajectories: &[Trajectory], n: usize, seed: u64) -> 
     for i in 0..trajectories.len() {
         members[(rng.next_u64() % n as u64) as usize].push(i);
     }
-    let mut partitions = Vec::new();
-    for m in members {
-        if m.is_empty() {
-            continue;
-        }
-        let mbr_first = Mbr::from_points(m.iter().map(|&i| trajectories[i].first()));
-        let mbr_last = Mbr::from_points(m.iter().map(|&i| trajectories[i].last()));
-        let min_len = m.iter().map(|&i| trajectories[i].len()).min().unwrap_or(0);
-        let max_len = m.iter().map(|&i| trajectories[i].len()).max().unwrap_or(0);
-        partitions.push(Partition {
-            id: partitions.len(),
-            members: m,
-            mbr_first,
-            mbr_last,
-            min_len,
-            max_len,
-        });
-    }
+    let partitions = members
+        .into_iter()
+        .filter(|m| !m.is_empty())
+        .enumerate()
+        .map(|(id, m)| {
+            let summary = EndpointSummary::of(m.iter().map(|&i| {
+                let t = &trajectories[i];
+                (*t.first(), *t.last(), t.len())
+            }));
+            Partition::new(id, m, summary)
+        })
+        .collect();
     Partitioning { partitions }
 }
 

@@ -115,15 +115,15 @@ pub(crate) fn top_k_pivots(
     best.sort_unstable_by_key(|&(_, i)| i);
 }
 
-/// Materializes pivot indices as points.
-pub fn pivot_points(t: &Trajectory, pivots: &[usize]) -> Vec<Point> {
-    pivots.iter().map(|&i| t.points()[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dita_trajectory::trajectory::figure1_trajectories;
+
+    /// Materializes pivot indices as points.
+    fn pivot_points(t: &Trajectory, pivots: &[usize]) -> Vec<Point> {
+        pivots.iter().map(|&i| t.points()[i]).collect()
+    }
 
     #[test]
     fn paper_t1_inflection_pivots() {

@@ -51,7 +51,7 @@
 
 use crate::flat::{EntryRef, FlatNodes, NodeRec, TrajStore};
 use crate::partitioner::str_tiles_pub as str_tiles;
-use crate::pivot::{select_pivots, top_k_pivots, PivotStrategy};
+use crate::pivot::{top_k_pivots, PivotStrategy};
 use dita_distance::function::IndexMode;
 use dita_distance::{bounds, DistanceFunction};
 use dita_trajectory::{Mbr, Point, SoaPoints, SoaView, Trajectory};
@@ -105,46 +105,29 @@ impl Default for TrieConfig {
     }
 }
 
-/// A preprocessed trajectory: the raw points plus every precomputed
-/// artifact verification needs (pivots, MBR, SoA coordinates).
+/// A row of the unflushed ingestion tail: the trajectory plus the two
+/// artifacts its verification reads (MBR, SoA coordinates).
 ///
-/// The storage form of the unflushed ingestion tail, where per-row
-/// ownership matters more than packing density. A trie build makes none:
-/// it preprocesses into flat arenas and pools its rows straight into a
-/// [`TrajStore`].
+/// The tail is checked row by row, never probed, so it keeps no pivots or
+/// indexing points. A trie build makes none of these: it preprocesses into
+/// flat arenas and pools its rows straight into a [`TrajStore`].
 #[derive(Debug, Clone)]
 pub struct IndexedTrajectory {
-    /// The trajectory itself (leaves store data, not pointers — §2.3's
-    /// "clustered index" argument).
+    /// The trajectory itself.
     pub traj: Trajectory,
-    /// 0-based pivot indices, ascending, strictly interior.
-    pub pivots: Vec<usize>,
-    /// Indexing points: first, last, then pivot points.
-    pub index_points: Vec<Point>,
     /// Whole-trajectory MBR (for Lemma 5.4 filtering).
     pub mbr: Mbr,
-    /// Structure-of-arrays copy of the points, built once at indexing time
+    /// Structure-of-arrays copy of the points, built once at insert time
     /// so the verification kernels stream contiguous coordinates.
     pub soa: SoaPoints,
 }
 
 impl IndexedTrajectory {
-    /// Precomputes all indexing artifacts for `traj`.
-    /// `_cell_side` is unread; kept only because `benchmark/` passes it
-    /// (ROADMAP, "Unfreeze `benchmark/` once and delete everything that waits on it").
-    pub fn new(traj: Trajectory, k: usize, strategy: PivotStrategy, _cell_side: f64) -> Self {
-        let pivots = select_pivots(&traj, k, strategy);
-        let mut index_points = Vec::with_capacity(2 + pivots.len());
-        push_index_points(traj.points(), pivots.iter().copied(), &mut index_points);
+    /// Precomputes `traj`'s verification artifacts.
+    pub fn new(traj: Trajectory) -> Self {
         let mbr = traj.mbr();
         let soa = SoaPoints::from_points(traj.points());
-        IndexedTrajectory {
-            traj,
-            pivots,
-            index_points,
-            mbr,
-            soa,
-        }
+        IndexedTrajectory { traj, mbr, soa }
     }
 }
 

@@ -12,7 +12,7 @@
 
 use dita_distance::DistanceFunction;
 use dita_index::{
-    BatchProbeScratch, IndexedTrajectory, PivotStrategy, ProbeScratch, TrieConfig, TrieIndex,
+    select_pivots, BatchProbeScratch, PivotStrategy, ProbeScratch, TrieConfig, TrieIndex,
 };
 use dita_rng::prop::prelude::*;
 use dita_rng::MarsagliaStar as XorShift;
@@ -147,11 +147,17 @@ proptest! {
             // Input row `i` has id `i`.
             let i = e.id() as usize;
             prop_assert!(!std::mem::replace(&mut stored[i], true), "row {} stored twice", i);
-            let it = IndexedTrajectory::new(ts[i].clone(), k, config.strategy, config.cell_side);
-            prop_assert_eq!(e.id(), it.traj.id);
-            prop_assert_eq!(e.points_vec(), it.traj.points());
-            prop_assert_eq!(e.index_points(), &it.index_points[..]);
-            prop_assert_eq!(e.mbr(), &it.mbr);
+            // Indexing points: first, last when distinct, then the pivots.
+            let t = &ts[i];
+            let mut ips = vec![*t.first()];
+            if t.len() > 1 {
+                ips.push(*t.last());
+            }
+            ips.extend(select_pivots(t, k, config.strategy).into_iter().map(|p| t.points()[p]));
+            prop_assert_eq!(e.id(), t.id);
+            prop_assert_eq!(e.points_vec(), t.points());
+            prop_assert_eq!(e.index_points(), &ips[..]);
+            prop_assert_eq!(e.mbr(), &t.mbr());
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use crate::policy::IngestStats;
 use dita_distance::function::IndexMode;
-use dita_index::{GlobalIndex, IndexedTrajectory, Partition, Partitioning, TrieConfig, TrieIndex};
-use dita_trajectory::{Mbr, Point, Trajectory, TrajectoryId};
+use dita_index::{EndpointSummary, IndexedTrajectory, Partitioning, TrieConfig, TrieIndex};
+use dita_trajectory::{Point, Trajectory, TrajectoryId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bytes charged to the network model for shipping one tombstone marker
@@ -21,14 +21,9 @@ pub struct DeltaSegment {
     /// Segment entries deleted or overwritten after the flush. Hits from
     /// `trie` with an id in here are suppressed at query time.
     pub dead: BTreeSet<TrajectoryId>,
-    /// MBR of the flushed members' first points (superset of live).
-    pub mbr_first: Mbr,
-    /// MBR of the flushed members' last points (superset of live).
-    pub mbr_last: Mbr,
-    /// Shortest flushed member (lower bound over live members).
-    pub min_len: usize,
-    /// Longest flushed member (upper bound over live members).
-    pub max_len: usize,
+    /// Endpoint summary of the flushed members, dead ones included, so it
+    /// covers the live ones ([`DeltaSet::seg_relevant`] screens with it).
+    pub summary: EndpointSummary,
 }
 
 impl DeltaSegment {
@@ -36,18 +31,11 @@ impl DeltaSegment {
     /// calling thread ([`TrieIndex::build_rows`]).
     pub fn build(members: &[Trajectory], config: TrieConfig) -> Self {
         assert!(!members.is_empty(), "a delta segment needs members");
-        let mbr_first = Mbr::from_points(members.iter().map(|t| t.first()));
-        let mbr_last = Mbr::from_points(members.iter().map(|t| t.last()));
-        let min_len = members.iter().map(Trajectory::len).min().unwrap();
-        let max_len = members.iter().map(Trajectory::len).max().unwrap();
         let rows: Vec<&Trajectory> = members.iter().collect();
         DeltaSegment {
             trie: TrieIndex::build_rows(&rows, config),
             dead: BTreeSet::new(),
-            mbr_first,
-            mbr_last,
-            min_len,
-            max_len,
+            summary: EndpointSummary::of(members.iter().map(|t| (*t.first(), *t.last(), t.len()))),
         }
     }
 
@@ -70,8 +58,8 @@ impl DeltaSegment {
 #[derive(Debug, Default)]
 pub struct PartitionDelta {
     /// Unflushed live inserts, keyed by id (the memtable). Entries carry
-    /// their full clustered-index artifacts so query-time verification
-    /// runs through the exact same kernel path as base members.
+    /// the artifacts verification reads, so a query checks them through
+    /// the same kernel path as base members.
     pub tail: BTreeMap<TrajectoryId, IndexedTrajectory>,
     /// The flushed delta run, if any.
     pub seg: Option<DeltaSegment>,
@@ -126,12 +114,6 @@ pub struct DeltaSet {
     base_home: Vec<(TrajectoryId, u32)>,
     /// Partition of every *live* delta insert.
     delta_home: BTreeMap<TrajectoryId, usize>,
-    /// Trie configuration used for tails and segments (the base config).
-    config: TrieConfig,
-    /// Driver-side pruning index over the flushed segments; rebuilt on
-    /// flush/compact. `pids[i]` maps synthetic partition `i` back to the
-    /// real partition id.
-    seg_global: Option<(GlobalIndex, Vec<usize>)>,
     ops_since_compact: u64,
     stats: IngestStats,
 }
@@ -140,11 +122,7 @@ impl DeltaSet {
     /// Fresh, empty delta state over `num_partitions` partitions whose base
     /// tries hold the ids in `base_home`, as `(id, partition)` pairs in any
     /// order. Ids are single-homed, so one unstable sort orders them.
-    pub fn new(
-        num_partitions: usize,
-        mut base_home: Vec<(TrajectoryId, u32)>,
-        config: TrieConfig,
-    ) -> Self {
+    pub fn new(num_partitions: usize, mut base_home: Vec<(TrajectoryId, u32)>) -> Self {
         base_home.sort_unstable();
         DeltaSet {
             parts: (0..num_partitions)
@@ -153,8 +131,6 @@ impl DeltaSet {
             base_dead: BTreeSet::new(),
             base_home,
             delta_home: BTreeMap::new(),
-            config,
-            seg_global: None,
             ops_since_compact: 0,
             stats: IngestStats::default(),
         }
@@ -185,12 +161,7 @@ impl DeltaSet {
     /// overwrote an existing live trajectory (upsert semantics).
     pub fn insert(&mut self, t: Trajectory, pid: usize) -> bool {
         let replaced = self.unlink(t.id);
-        let it = IndexedTrajectory::new(
-            t,
-            self.config.k,
-            self.config.strategy,
-            self.config.cell_side,
-        );
+        let it = IndexedTrajectory::new(t);
         let id = it.traj.id;
         self.parts[pid].tail.insert(id, it);
         self.parts[pid].dirty = true;
@@ -355,36 +326,10 @@ impl DeltaSet {
         self.parts[pid].seg = Some(seg);
     }
 
-    /// Rebuilds the driver-side pruning index over the flushed segments.
-    /// Call after a round of [`DeltaSet::install_segment`].
-    pub fn rebuild_seg_global(&mut self) {
-        let mut pids = Vec::new();
-        let mut partitions = Vec::new();
-        for (pid, part) in self.parts.iter().enumerate() {
-            let Some(seg) = &part.seg else { continue };
-            if seg.live_count() == 0 {
-                continue;
-            }
-            partitions.push(Partition {
-                id: partitions.len(),
-                members: Vec::new(),
-                mbr_first: seg.mbr_first,
-                mbr_last: seg.mbr_last,
-                min_len: seg.min_len,
-                max_len: seg.max_len,
-            });
-            pids.push(pid);
-        }
-        self.seg_global = if pids.is_empty() {
-            None
-        } else {
-            Some((GlobalIndex::build(&Partitioning { partitions }), pids))
-        };
-    }
-
-    /// Partitions whose segment may contain query matches — the delta-side
-    /// mirror of `GlobalIndex::relevant_partitions`, with identical budget
-    /// semantics. Sorted by partition id.
+    /// Partitions whose segment may contain query matches, sorted by id:
+    /// the segments' summaries put to the rule the global index applies to
+    /// the base partitions ([`IndexMode::endpoints_admit`]), by scan, since
+    /// a partition holds at most one segment.
     pub fn seg_relevant(
         &self,
         first: &Point,
@@ -393,16 +338,22 @@ impl DeltaSet {
         tau: f64,
         mode: IndexMode,
     ) -> Vec<usize> {
-        let Some((global, pids)) = &self.seg_global else {
+        if tau < 0.0 {
             return Vec::new();
+        }
+        let admits = |s: &EndpointSummary| {
+            let df = s.mbr_first.min_dist_point(first);
+            let dl = s.mbr_last.min_dist_point(last);
+            mode.endpoints_admit(df, dl, query_len, s.min_len, tau)
         };
-        let mut out: Vec<usize> = global
-            .relevant_partitions(first, last, query_len, tau, mode)
-            .into_iter()
-            .map(|i| pids[i])
-            .collect();
-        out.sort_unstable();
-        out
+        (0..self.parts.len())
+            .filter(|&pid| {
+                self.parts[pid]
+                    .seg
+                    .as_ref()
+                    .is_some_and(|seg| admits(&seg.summary))
+            })
+            .collect()
     }
 
     /// Partitions needing a rebuild at compaction time.
@@ -438,7 +389,7 @@ impl DeltaSet {
         base_home: Vec<(TrajectoryId, u32)>,
     ) {
         let stats = self.stats;
-        *self = DeltaSet::new(num_partitions, base_home, self.config);
+        *self = DeltaSet::new(num_partitions, base_home);
         self.stats = stats;
     }
 }
@@ -446,8 +397,9 @@ impl DeltaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dita_index::PivotStrategy;
-    use dita_trajectory::Point;
+    use dita_index::{GlobalIndex, Partition, PivotStrategy};
+    use dita_rng::Xoshiro256StarStar;
+    use dita_trajectory::Mbr;
 
     fn cfg() -> TrieConfig {
         TrieConfig {
@@ -489,7 +441,7 @@ mod tests {
 
     #[test]
     fn upsert_shadows_base_then_tail_wins() {
-        let mut d = DeltaSet::new(2, vec![(7, 1)], cfg());
+        let mut d = DeltaSet::new(2, vec![(7, 1)]);
         assert!(d.contains(7));
         // Overwrite a base id: base copy tombstoned, tail copy live.
         assert!(d.insert(traj(7, 3.0), 0));
@@ -507,7 +459,7 @@ mod tests {
 
     #[test]
     fn flush_drains_tails_and_prices_shipment() {
-        let mut d = DeltaSet::new(2, Vec::new(), cfg());
+        let mut d = DeltaSet::new(2, Vec::new());
         d.insert(traj(1, 0.0), 0);
         d.insert(traj(2, 0.5), 0);
         let t_bytes: u64 = 2 * traj(1, 0.0).size_bytes() as u64;
@@ -520,7 +472,6 @@ mod tests {
         // Simulate the build and install; tail is gone, segment is live.
         let seg = DeltaSegment::build(&jobs.into_iter().next().unwrap().members.unwrap(), cfg());
         d.install_segment(0, seg);
-        d.rebuild_seg_global();
         assert_eq!(d.part(0).tail.len(), 0);
         assert_eq!(d.delta_live(), 2);
         assert_eq!(d.part(0).seg.as_ref().unwrap().live_count(), 2);
@@ -535,13 +486,12 @@ mod tests {
 
     #[test]
     fn seg_relevance_maps_back_to_partition_ids() {
-        let mut d = DeltaSet::new(3, Vec::new(), cfg());
+        let mut d = DeltaSet::new(3, Vec::new());
         d.insert(traj(1, 20.0), 2);
         for job in d.plan_flush() {
             let seg = DeltaSegment::build(&job.members.unwrap(), cfg());
             d.install_segment(job.pid, seg);
         }
-        d.rebuild_seg_global();
         let hits = d.seg_relevant(
             &Point::new(20.0, 0.0),
             &Point::new(21.0, 1.0),
@@ -560,9 +510,89 @@ mod tests {
         assert!(misses.is_empty());
     }
 
+    /// The scan admits exactly what an R-tree `GlobalIndex` over the
+    /// segments' summaries admitted when it was built at the flush (one
+    /// synthetic partition per live segment). A segment whose members all
+    /// died after that flush stays in both.
+    #[test]
+    fn seg_scan_admits_what_a_global_index_over_the_segments_admits() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5e6_5ca7);
+        let num_parts = 6;
+        let mut d = DeltaSet::new(num_parts, Vec::new());
+        let mut rows_of = vec![Vec::new(); num_parts];
+        for id in 0..60u64 {
+            let pid = rng.index(num_parts - 1); // the last partition stays empty
+            let (x, y) = (rng.range_f64(0.0, 20.0), rng.range_f64(0.0, 20.0));
+            let len = 1 + rng.index(4);
+            let pts: Vec<(f64, f64)> = (0..len)
+                .map(|i| (x + i as f64 * rng.next_f64(), y + i as f64 * rng.next_f64()))
+                .collect();
+            d.insert(Trajectory::from_coords(id, &pts), pid);
+            rows_of[pid].push(id);
+        }
+        for job in d.plan_flush() {
+            let members = job.members.expect("every flushed partition has a tail");
+            d.install_segment(job.pid, DeltaSegment::build(&members, cfg()));
+        }
+
+        let mut partitions = Vec::new();
+        let mut pids = Vec::new();
+        for (pid, part) in d.parts().iter().enumerate() {
+            let Some(seg) = &part.seg else { continue };
+            assert!(seg.live_count() > 0);
+            partitions.push(Partition::new(partitions.len(), Vec::new(), seg.summary));
+            pids.push(pid);
+        }
+        assert_eq!(pids, (0..num_parts - 1).collect::<Vec<_>>());
+        let global = GlobalIndex::build(&Partitioning { partitions });
+
+        // Every member of partition 2's segment dies after the flush.
+        for &id in &rows_of[2] {
+            assert!(d.delete(id));
+        }
+        assert_eq!(d.part(2).seg.as_ref().unwrap().live_count(), 0);
+
+        let modes = |eps: f64| {
+            [
+                IndexMode::Additive,
+                IndexMode::Max,
+                IndexMode::EditCount {
+                    eps,
+                    symmetric: true,
+                },
+                IndexMode::EditCount {
+                    eps,
+                    symmetric: false,
+                },
+                IndexMode::Scan,
+            ]
+        };
+        let mut admitted_dead = false;
+        for _ in 0..400 {
+            let first = Point::new(rng.range_f64(-5.0, 25.0), rng.range_f64(-5.0, 25.0));
+            let last = Point::new(rng.range_f64(-5.0, 25.0), rng.range_f64(-5.0, 25.0));
+            let query_len = 1 + rng.index(4);
+            let tau = [-1.0, 0.0, rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 12.0)][rng.index(4)];
+            for mode in modes(rng.range_f64(0.0, 4.0)) {
+                let want: Vec<usize> = global
+                    .relevant_partitions(&first, &last, query_len, tau, mode)
+                    .into_iter()
+                    .map(|i| pids[i])
+                    .collect();
+                let got = d.seg_relevant(&first, &last, query_len, tau, mode);
+                assert_eq!(
+                    got, want,
+                    "{first:?} {last:?} len {query_len} tau {tau} {mode:?}"
+                );
+                admitted_dead |= got.contains(&2);
+            }
+        }
+        assert!(admitted_dead, "no query reached the dead segment");
+    }
+
     #[test]
     fn compact_drain_resets_state() {
-        let mut d = DeltaSet::new(1, vec![(9, 0)], cfg());
+        let mut d = DeltaSet::new(1, vec![(9, 0)]);
         d.insert(traj(1, 0.0), 0);
         d.delete(9);
         assert!(d.has_deltas());

@@ -7,10 +7,11 @@
 //! optional flushed mini delta-trie — with **tombstones** shadowing deleted
 //! or overwritten base entries. Queries overlay base trie + deltas
 //! (candidate union, tombstone suppression) with the same pruning
-//! machinery the base index uses; a ratio- or ops-triggered
-//! [`CompactionPolicy`] decides when the deltas are folded back into
-//! rebuilt base tries, and a skew threshold decides when folding escalates
-//! to a full STR repartition.
+//! machinery the base index uses; a ratio or an operation count
+//! ([`MAX_DELTA_RATIO`], [`MAX_DELTA_OPS`]) decides when the deltas are
+//! folded back into rebuilt base tries, and a skew threshold
+//! ([`SKEW_THRESHOLD`]) decides when folding escalates to a full STR
+//! repartition.
 //!
 //! The logical dataset at any instant is:
 //!
@@ -37,4 +38,4 @@ mod delta;
 mod policy;
 
 pub use delta::{DeltaSegment, DeltaSet, FlushJob, PartitionDelta, TOMBSTONE_BYTES};
-pub use policy::{CompactionPolicy, IngestStats};
+pub use policy::{CompactionPolicy, IngestStats, MAX_DELTA_OPS, MAX_DELTA_RATIO, SKEW_THRESHOLD};

@@ -1,26 +1,23 @@
 //! Compaction triggers and ingestion counters.
 
-/// When the background merge folds deltas into the base index.
-///
-/// Compaction is triggered by whichever bound trips first: the live delta
-/// (inserts + tombstones) growing past `max_delta_ratio` of the logical
-/// table, or the raw operation count since the last compaction reaching
-/// `max_delta_ops`. After folding, a full STR repartition runs only when
-/// the per-partition size skew (max/avg member count) exceeds
-/// `skew_threshold` — i.e. when the first/last-point distribution has
-/// drifted enough that the original tiling no longer balances.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Compaction folds the deltas once `(delta inserts + tombstones) /
+/// logical size` exceeds this share.
+pub const MAX_DELTA_RATIO: f64 = 0.10;
+
+/// Compaction folds the deltas once this many insert/delete operations
+/// have been applied since the last compaction.
+pub const MAX_DELTA_OPS: u64 = 4096;
+
+/// After a fold, a full STR repartition runs when
+/// [`dita_index::Partitioning::skew`] (max/avg member count) exceeds this:
+/// the first/last-point distribution has drifted enough that the original
+/// tiling no longer balances.
+pub const SKEW_THRESHOLD: f64 = 4.0;
+
+/// When the background merge folds deltas into the base index: whichever
+/// of [`MAX_DELTA_RATIO`] and [`MAX_DELTA_OPS`] trips first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Fold deltas once `(delta inserts + tombstones) / logical size`
-    /// exceeds this. `0.0` compacts after every operation; an infinite
-    /// value disables the ratio trigger.
-    pub max_delta_ratio: f64,
-    /// Fold deltas once this many insert/delete operations have been
-    /// applied since the last compaction. `0` disables the ops trigger.
-    pub max_delta_ops: u64,
-    /// Re-run STR repartitioning after a fold when
-    /// [`dita_index::Partitioning::skew`] exceeds this.
-    pub skew_threshold: f64,
     /// When `true` (the default), `insert`/`delete` transparently run the
     /// fold as soon as a trigger trips — the "background" merge of an
     /// LSM tree, made synchronous for determinism. When `false`, only
@@ -30,17 +27,13 @@ pub struct CompactionPolicy {
 
 impl Default for CompactionPolicy {
     fn default() -> Self {
-        CompactionPolicy {
-            max_delta_ratio: 0.10,
-            max_delta_ops: 4096,
-            skew_threshold: 4.0,
-            auto: true,
-        }
+        CompactionPolicy { auto: true }
     }
 }
 
 impl CompactionPolicy {
-    /// `true` when the pending delta state warrants a fold.
+    /// `true` when the policy is `auto` and the pending delta state trips
+    /// a trigger.
     pub fn should_compact(
         &self,
         delta_live: usize,
@@ -48,14 +41,14 @@ impl CompactionPolicy {
         logical_len: usize,
         ops: u64,
     ) -> bool {
-        if ops == 0 {
+        if !self.auto || ops == 0 {
             return false;
         }
-        if self.max_delta_ops > 0 && ops >= self.max_delta_ops {
+        if ops >= MAX_DELTA_OPS {
             return true;
         }
         let pending = (delta_live + tombstones) as f64;
-        pending > self.max_delta_ratio * logical_len.max(1) as f64
+        pending > MAX_DELTA_RATIO * logical_len.max(1) as f64
     }
 }
 
@@ -80,11 +73,7 @@ mod tests {
 
     #[test]
     fn ratio_trigger() {
-        let p = CompactionPolicy {
-            max_delta_ratio: 0.10,
-            max_delta_ops: 0,
-            ..CompactionPolicy::default()
-        };
+        let p = CompactionPolicy::default();
         assert!(!p.should_compact(0, 0, 100, 0));
         assert!(!p.should_compact(10, 0, 100, 10)); // exactly 10% — not yet
         assert!(p.should_compact(11, 0, 100, 11));
@@ -93,21 +82,24 @@ mod tests {
 
     #[test]
     fn ops_trigger() {
-        let p = CompactionPolicy {
-            max_delta_ratio: f64::INFINITY,
-            max_delta_ops: 4,
-            ..CompactionPolicy::default()
-        };
-        assert!(!p.should_compact(3, 0, 10, 3));
-        assert!(p.should_compact(4, 0, 10, 4));
+        let p = CompactionPolicy::default();
+        // 4096 pending rows are well under 10 % of this table.
+        let big = 1_000_000;
+        assert!(!p.should_compact(4095, 0, big, 4095));
+        assert!(p.should_compact(4096, 0, big, 4096));
     }
 
     #[test]
     fn no_ops_never_compacts() {
-        let p = CompactionPolicy {
-            max_delta_ratio: 0.0,
-            ..CompactionPolicy::default()
-        };
+        let p = CompactionPolicy::default();
         assert!(!p.should_compact(0, 0, 0, 0));
+        assert!(!p.should_compact(50, 50, 10, 0));
+    }
+
+    #[test]
+    fn manual_policy_never_compacts() {
+        let p = CompactionPolicy { auto: false };
+        assert!(!p.should_compact(11, 0, 100, 11));
+        assert!(!p.should_compact(1, 0, 1_000_000, 4096));
     }
 }

@@ -167,19 +167,6 @@ impl Mbr {
         dx * dx + dy * dy
     }
 
-    /// Maximum distance from a point to any point of the rectangle.
-    ///
-    /// Used by upper-bound style estimations; the farthest point of a
-    /// rectangle from `p` is always one of its corners.
-    pub fn max_dist_point(&self, p: &Point) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Rectangle area (zero for degenerate or empty rectangles).
     #[inline]
     pub fn area(&self) -> f64 {
@@ -318,15 +305,5 @@ mod tests {
         assert_eq!(m.margin(), 5.0);
         assert_eq!(m.center(), Point::new(1.0, 1.5));
         assert_eq!(Mbr::EMPTY.area(), 0.0);
-    }
-
-    #[test]
-    fn max_dist_point_is_corner_distance() {
-        let m = mbr(0.0, 0.0, 4.0, 4.0);
-        let d = m.max_dist_point(&Point::new(5.0, 5.0));
-        assert!((d - (50.0f64).sqrt()).abs() < 1e-12);
-        // From the center the max distance is half the diagonal.
-        let d = m.max_dist_point(&Point::new(2.0, 2.0));
-        assert!((d - (8.0f64).sqrt()).abs() < 1e-12);
     }
 }

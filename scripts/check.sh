@@ -11,9 +11,10 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
-# Dev-profile tests compile with debug_assertions, so the ranked-lock
-# layer's per-thread rank checks are live for the whole suite; the
-# rank_canary_matches_build_profile test (crates/obs/tests/
+# The root manifest's default-members name every crate, so this runs the
+# whole workspace's tests. Dev-profile tests compile with debug_assertions,
+# so the ranked-lock layer's per-thread rank checks are live for the whole
+# suite; the rank_canary_matches_build_profile test (crates/obs/tests/
 # lock_stress.rs) fails the run if that ever stops being true.
 cargo test -q
 # One table of experiments: the ids `exp --list` prints and the ids in the

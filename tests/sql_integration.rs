@@ -60,6 +60,36 @@ fn scan_and_index_plans_agree_on_real_data() {
     assert!(!index_hits.is_empty(), "the query trip matches itself");
 }
 
+/// `DataFrame::create_trie_index` is `CREATE INDEX … USE TRIE`: after it
+/// the planner picks the index, and the DataFrame's search answers as the
+/// SQL scan did.
+#[test]
+fn dataframe_create_trie_index_equals_create_index() {
+    let mut e = engine_with(300);
+    let q = sample_queries(&e.snapshot("trips").unwrap(), 1, 2)[0].clone();
+    let sql = format!(
+        "SELECT * FROM trips WHERE DTW(trips, {}) <= 0.003",
+        literal_for(q.points())
+    );
+    let mut scan_hits = match e.execute(&sql).unwrap() {
+        QueryResult::SearchHits(h) => h,
+        other => panic!("{other:?}"),
+    };
+    assert!(!e.is_indexed("trips"));
+
+    let mut df = e.table("trips").unwrap();
+    df.create_trie_index().unwrap();
+    let mut df_hits = df
+        .similarity_search(q.points(), DistanceFunction::Dtw, 0.003)
+        .unwrap();
+    assert!(e.is_indexed("trips"));
+    assert!(e.explain(&sql).unwrap().contains("IndexSearch"));
+    scan_hits.sort_by_key(|&(id, _)| id);
+    df_hits.sort_by_key(|&(id, _)| id);
+    assert_eq!(scan_hits, df_hits);
+    assert!(!df_hits.is_empty(), "the query trip matches itself");
+}
+
 #[test]
 fn sql_join_equals_dataframe_join() {
     let mut e = engine_with(200);
